@@ -9,6 +9,14 @@ cd "$(dirname "$0")"
 echo "== cargo build --release =="
 cargo build --release
 
+# The benchmark (perfbench/) is a separate Cargo package that calls only the
+# public API of the workspace crates. Build it and run its unit tests here,
+# so removing or renaming a public function it uses fails CI rather than the
+# benchmark run.
+echo "== perfbench: build + unit tests =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # The whole suite runs twice: single-threaded and on a 4-thread pool. The
 # execution layer's determinism contract says results are bit-identical, so
 # both runs must pass the *same* assertions.
@@ -114,7 +122,10 @@ echo "== cargo doc -p tucker-api (missing/broken docs are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p tucker-api --quiet
 
 echo "== panic-grep gate on the fallible-surface modules =="
-# The try_* validation layers promise "every failure is a returned value".
+# The typed-error surfaces promise "every failure is a returned value":
+# the tucker-api facade (Compressor::plan validates everything the core
+# drivers would panic on), the shared core validators, the .tkr writer and
+# store errors, and the serve/obs/net wire and metrics layers.
 # The microkernel hot-path modules (pack/microkernel/simd) make the same
 # promise: misconfiguration warns and falls back, it never aborts a kernel.
 # Fail CI if a panic!/unwrap/expect/assert lands in them (doc comments and
@@ -123,6 +134,7 @@ gate_ok=1
 for f in crates/api/src/lib.rs crates/api/src/error.rs \
          crates/api/src/compressor.rs crates/api/src/query.rs \
          crates/core/src/validate.rs crates/store/src/error.rs \
+         crates/store/src/writer.rs \
          crates/serve/src/proto.rs crates/serve/src/client.rs \
          crates/serve/src/metrics.rs crates/obs/src/lib.rs \
          crates/obs/src/metrics.rs crates/obs/src/trace.rs \

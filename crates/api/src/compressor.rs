@@ -1,36 +1,40 @@
 //! The [`Compressor`] builder: one entry point over every pipeline variant.
 //!
-//! Four PRs of growth left the workspace with ~10 compression entry points
-//! (`st_hosvd`, `st_hosvd_ctx`, `st_hosvd_streaming{,_ctx}`, `hooi{,_ctx}`,
-//! `dist_st_hosvd{,_ctx}`, `write_tucker{,_ctx}`, `compress_streaming`,
-//! `gather_and_write`). They are all still there — and this module adds
-//! nothing algorithmic on top of them. A [`Compressor`] composes *which* of
-//! them to run:
+//! Each compression driver of the workspace has exactly one public entry
+//! point, on an explicit execution context: `st_hosvd_ctx`, `hooi_ctx`,
+//! `st_hosvd_streaming_ctx`, `dist_st_hosvd_ctx` and `dist_hooi_ctx`, plus
+//! `try_write_tucker_ctx` for the artifact. This module adds nothing
+//! algorithmic on top of them. A [`Compressor`] composes *which* of them to
+//! run:
 //!
 //! | source | `.refine(..)`? | kernel dispatched |
 //! |---|---|---|
-//! | [`Compressor::new`] (resident tensor)     | no  | `try_st_hosvd_ctx` |
-//! | [`Compressor::new`]                       | yes | `try_hooi_ctx` |
-//! | [`Compressor::from_slabs`] (out-of-core)  | no  | `try_st_hosvd_streaming_ctx` |
+//! | [`Compressor::new`] (resident tensor)     | no  | `st_hosvd_ctx` |
+//! | [`Compressor::new`]                       | yes | `hooi_ctx` |
+//! | [`Compressor::from_slabs`] (out-of-core)  | no  | `st_hosvd_streaming_ctx` |
 //! | [`Compressor::from_slabs`]                | yes | rejected ([`PlanError::RefineNeedsResident`]) |
-//! | [`Compressor::distributed`] (grid)        | no  | `try_dist_st_hosvd_ctx` per rank + gather |
-//! | [`Compressor::distributed`]               | yes | `try_dist_hooi_ctx` per rank + gather |
+//! | [`Compressor::distributed`] (grid)        | no  | `dist_st_hosvd_ctx` per rank + gather |
+//! | [`Compressor::distributed`]               | yes | `dist_hooi_ctx` per rank + gather |
 //!
 //! and both sinks — [`CompressionPlan::run`] (in-memory result) and
 //! [`CompressionPlan::write_to`] (a `.tkr` artifact via
-//! `try_write_tucker_ctx`) — dispatch to those existing kernels, so the
-//! output is **bit-identical** to calling them directly (pinned by
-//! `tests/api_equivalence.rs`). All validation happens at
-//! [`Compressor::plan`] time through the `tucker_core::validate` /
-//! `tucker_store` typed-error layers: no input, however malformed, panics.
+//! `try_write_tucker_ctx`) — dispatch to those kernels, so the output is
+//! **bit-identical** to calling them directly (pinned by
+//! `tests/api_equivalence.rs`).
+//!
+//! Validation lives in one place. The drivers check their input with the
+//! `tucker_core::validate` functions and panic with the validator's message;
+//! [`Compressor::plan`] runs the same functions first and returns their
+//! verdict as a typed [`TuckerError`], so no input, however malformed,
+//! panics through this module.
 
 use crate::error::{PlanError, TuckerError};
 use std::path::Path;
-use tucker_core::dist::{try_dist_hooi_ctx, try_dist_st_hosvd_ctx, DistTensor};
+use tucker_core::dist::{dist_hooi_ctx, dist_st_hosvd_ctx, DistTensor};
 use tucker_core::rank::RankSelection;
 use tucker_core::validate::{self, RankError};
 use tucker_core::{
-    try_hooi_ctx, try_st_hosvd_ctx, try_st_hosvd_streaming_ctx, HooiOptions, HooiResult, ModeOrder,
+    hooi_ctx, st_hosvd_ctx, st_hosvd_streaming_ctx, HooiOptions, HooiResult, ModeOrder,
     SthosvdOptions, SthosvdResult, StreamingOptions, TuckerTensor,
 };
 use tucker_distmem::runtime::spmd_with_grid_handle;
@@ -93,24 +97,27 @@ impl Refine {
     }
 }
 
-/// Which kernel pipeline a [`CompressionPlan`] dispatches to.
+/// Which kernel pipeline a [`CompressionPlan`] dispatches to. Each variant
+/// names the one driver entry point it calls, after [`Compressor::plan`]
+/// has validated the input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelPath {
-    /// `tucker_core::try_st_hosvd_ctx` on a resident tensor.
+    /// `tucker_core::st_hosvd_ctx` on a resident tensor.
     InMemory,
-    /// `tucker_core::try_hooi_ctx` (ST-HOSVD init + HOOI sweeps).
+    /// `tucker_core::hooi_ctx` (ST-HOSVD init + HOOI sweeps).
     InMemoryRefined,
-    /// `tucker_core::streaming::try_st_hosvd_streaming_ctx` over slabs.
+    /// `tucker_core::st_hosvd_streaming_ctx` over slabs.
     Streaming,
-    /// `tucker_core::dist::try_dist_st_hosvd_ctx` on every rank of the grid,
+    /// `tucker_core::dist::dist_st_hosvd_ctx` on every rank of the grid,
     /// gathered to root.
     Distributed,
-    /// `tucker_core::dist::try_dist_hooi_ctx` on every rank, gathered.
+    /// `tucker_core::dist::dist_hooi_ctx` on every rank, gathered.
     DistributedRefined,
 }
 
 impl KernelPath {
-    /// The name of the underlying entry point (for logs and reports).
+    /// The driver's name, as its top-level trace span reports it (for logs
+    /// and reports).
     pub fn name(&self) -> &'static str {
         match self {
             KernelPath::InMemory => "st_hosvd",
@@ -370,7 +377,8 @@ impl<'a> Compressor<'a> {
     /// input — empty or zero-extent shapes, ranks exceeding mode dims, bad
     /// tolerances, non-permutation orders, refinement on a streaming source,
     /// a grid that does not fit the tensor — is a typed [`TuckerError`]
-    /// here; nothing panics later.
+    /// here. These are the checks the drivers would otherwise panic on, so
+    /// nothing panics later.
     pub fn plan(self) -> Result<CompressionPlan<'a>, TuckerError> {
         let rank = self.rank.ok_or(PlanError::NoTarget)?;
         let sth = SthosvdOptions {
@@ -484,111 +492,94 @@ impl CompressionPlan<'_> {
     }
 
     /// Runs the planned pipeline and returns the decomposition with full
-    /// kernel diagnostics. Dispatches to the exact existing kernel path (see
-    /// the module docs) — the result is bit-identical to direct calls.
+    /// kernel diagnostics. Dispatches to the exact driver (see the module
+    /// docs) — the result is bit-identical to direct calls.
     pub fn run(&self) -> Result<Compressed, TuckerError> {
         let ctx = self.exec();
-        match &self.source {
+        let output = match &self.source {
             SourceKind::Dense(x) => match &self.refine {
-                None => Ok(Compressed {
-                    output: CompressedOutput::Sthosvd(try_st_hosvd_ctx(x, &self.sth, &ctx)?),
-                    kernel: self.kernel,
-                    dist: None,
-                }),
+                None => CompressedOutput::Sthosvd(st_hosvd_ctx(x, &self.sth, &ctx)),
                 Some(refine) => {
-                    let opts = HooiOptions {
-                        init: self.sth.clone(),
-                        max_iterations: refine.max_iterations,
-                        fit_tolerance: refine.fit_tolerance,
-                    };
-                    Ok(Compressed {
-                        output: CompressedOutput::Hooi(try_hooi_ctx(x, &opts, &ctx)?),
-                        kernel: self.kernel,
-                        dist: None,
-                    })
+                    CompressedOutput::Hooi(hooi_ctx(x, &self.hooi_options(refine), &ctx))
                 }
             },
-            SourceKind::Slabs(src) => Ok(Compressed {
-                output: CompressedOutput::Sthosvd(try_st_hosvd_streaming_ctx(
-                    src,
-                    &self.sth,
-                    &self.stream,
-                    &ctx,
-                )?),
-                kernel: self.kernel,
-                dist: None,
-            }),
-            SourceKind::Dist { global, grid } => self.run_distributed(global, grid),
+            SourceKind::Slabs(src) => CompressedOutput::Sthosvd(st_hosvd_streaming_ctx(
+                src,
+                &self.sth,
+                &self.stream,
+                &ctx,
+            )),
+            SourceKind::Dist { global, grid } => return self.run_distributed(global, grid),
+        };
+        Ok(Compressed {
+            output,
+            kernel: self.kernel,
+            dist: None,
+        })
+    }
+
+    /// The HOOI options of a refined plan: the planned ST-HOSVD
+    /// initialization plus the refinement sweeps.
+    fn hooi_options(&self, refine: &Refine) -> HooiOptions {
+        HooiOptions {
+            init: self.sth.clone(),
+            max_iterations: refine.max_iterations,
+            fit_tolerance: refine.fit_tolerance,
         }
     }
 
     /// The distributed dispatch: an SPMD region over the grid, each rank
     /// compressing its block with the parallel kernels (hybrid
     /// ranks × threads on the shared pool), the decomposition gathered to
-    /// root exactly as the direct `dist_st_hosvd` + `gather_to_root` calls
-    /// would.
+    /// root exactly as the direct `dist_st_hosvd_ctx` + `gather_to_root`
+    /// calls would.
     fn run_distributed(
         &self,
         global: &DenseTensor,
         grid: &ProcGrid,
     ) -> Result<Compressed, TuckerError> {
         let nranks = grid.size();
-        let refine = &self.refine;
+        let hooi_opts = self.refine.as_ref().map(|r| self.hooi_options(r));
         let sth = &self.sth;
         let threads = self.threads;
-        let handle = spmd_with_grid_handle(
-            grid.clone(),
-            move |comm| -> Result<Option<CompressedOutput>, tucker_core::validate::CoreError> {
-                let ctx = {
-                    let global_ctx = ExecContext::global();
-                    let budget = threads.unwrap_or(global_ctx.threads());
-                    global_ctx.with_budget((budget / comm.size().max(1)).max(1))
-                };
-                let dx = DistTensor::from_global(&comm, global);
-                match refine {
-                    None => {
-                        let r = try_dist_st_hosvd_ctx(&comm, &dx, sth, &ctx)?;
-                        let gathered = r.tucker.gather_to_root(&comm);
-                        Ok(gathered.map(|tucker| {
-                            CompressedOutput::Sthosvd(SthosvdResult {
-                                tucker,
-                                ranks: r.ranks,
-                                mode_eigenvalues: r.mode_eigenvalues,
-                                discarded_energy: r.discarded_energy,
-                                norm_x_sq: r.norm_x_sq,
-                                processed_order: r.processed_order,
-                            })
-                        }))
-                    }
-                    Some(refine) => {
-                        let opts = HooiOptions {
-                            init: sth.clone(),
-                            max_iterations: refine.max_iterations,
-                            fit_tolerance: refine.fit_tolerance,
-                        };
-                        let r = try_dist_hooi_ctx(&comm, &dx, &opts, &ctx)?;
-                        let gathered = r.tucker.gather_to_root(&comm);
-                        Ok(gathered.map(|tucker| {
-                            CompressedOutput::Hooi(HooiResult {
-                                tucker,
-                                ranks: r.ranks,
-                                fit_history: r.fit_history,
-                                iterations: r.iterations,
-                            })
-                        }))
-                    }
+        let handle = spmd_with_grid_handle(grid.clone(), move |comm| {
+            let ctx = {
+                let global_ctx = ExecContext::global();
+                let budget = threads.unwrap_or(global_ctx.threads());
+                global_ctx.with_budget((budget / comm.size().max(1)).max(1))
+            };
+            let dx = DistTensor::from_global(&comm, global);
+            match &hooi_opts {
+                None => {
+                    let r = dist_st_hosvd_ctx(&comm, &dx, sth, &ctx);
+                    let gathered = r.tucker.gather_to_root(&comm);
+                    gathered.map(|tucker| {
+                        CompressedOutput::Sthosvd(SthosvdResult {
+                            tucker,
+                            ranks: r.ranks,
+                            mode_eigenvalues: r.mode_eigenvalues,
+                            discarded_energy: r.discarded_energy,
+                            norm_x_sq: r.norm_x_sq,
+                            processed_order: r.processed_order,
+                        })
+                    })
                 }
-            },
-        );
-        let stats = handle.total_stats();
-        let mut root = None;
-        for per_rank in handle.results {
-            let gathered: Option<CompressedOutput> = per_rank.map_err(TuckerError::from)?;
-            if let Some(output) = gathered {
-                root = Some(output);
+                Some(opts) => {
+                    let r = dist_hooi_ctx(&comm, &dx, opts, &ctx);
+                    let gathered = r.tucker.gather_to_root(&comm);
+                    gathered.map(|tucker| {
+                        CompressedOutput::Hooi(HooiResult {
+                            tucker,
+                            ranks: r.ranks,
+                            fit_history: r.fit_history,
+                            iterations: r.iterations,
+                        })
+                    })
+                }
             }
-        }
-        let output = root.ok_or_else(|| {
+        });
+        let stats = handle.total_stats();
+        let output = handle.results.into_iter().flatten().last().ok_or_else(|| {
             TuckerError::Io(std::io::Error::other(
                 "distributed gather produced no root result",
             ))
@@ -607,9 +598,9 @@ impl CompressionPlan<'_> {
 
     /// Runs the planned pipeline and writes the decomposition to `path` as a
     /// `.tkr` artifact with the configured codec and metadata. The bytes are
-    /// identical to running the corresponding direct pipeline and calling
-    /// `write_tucker` (or `compress_streaming` / `gather_and_write`, which
-    /// serialize through the same writer) — for every thread count.
+    /// identical to running the corresponding driver directly (gathering a
+    /// distributed result to root) and calling `try_write_tucker_ctx` — for
+    /// every thread count.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<Written, TuckerError> {
         let compressed = self.run()?;
         let report = try_write_tucker_ctx(path, compressed.tucker(), &self.store, &self.exec())?;

@@ -2,13 +2,15 @@
 //! workspace.
 //!
 //! The underlying crates expose every pipeline variant as its own entry
-//! point (sequential / streaming / distributed ST-HOSVD, HOOI, storage
-//! writers, two reader types). This crate is the **one surface** production
+//! point (sequential / streaming / distributed ST-HOSVD, HOOI, the storage
+//! writer, two reader types), one per operation. This crate is the **one surface** production
 //! code should program against, built from three pillars:
 //!
 //! 1. **[`TuckerError`]** — a workspace-wide typed error hierarchy with
 //!    `From` conversions from every constituent crate's errors. Nothing
-//!    reachable through this crate panics on malformed input.
+//!    reachable through this crate panics on malformed input: the core
+//!    drivers panic on it, so [`Compressor::plan`] runs their validators
+//!    first and returns the verdict as a value.
 //! 2. **[`Compressor`]** — a builder over every ingest path
 //!    ([`Compressor::new`] for resident tensors, [`Compressor::from_slabs`]
 //!    for out-of-core sources, [`Compressor::distributed`] for a processor

@@ -22,7 +22,11 @@ fn main() {
         let dims = ds.data.dims().to_vec();
         let mut series = Vec::new();
         for &eps in &epsilons {
-            let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+            let result = st_hosvd_ctx(
+                &ds.data,
+                &SthosvdOptions::with_tolerance(eps),
+                ExecContext::global(),
+            );
             let rec = result.tucker.reconstruct();
             let err = normalized_rms_error(&ds.data, &rec);
             let ratio = result.tucker.compression_ratio(&dims);

@@ -28,7 +28,7 @@
 use tucker_bench::{eng, print_header, print_row, timed};
 use tucker_core::prelude::*;
 use tucker_scidata::DatasetPreset;
-use tucker_store::{write_tucker, Codec, StoreOptions, TkrArtifact, TkrMetadata};
+use tucker_store::{try_write_tucker_ctx, Codec, StoreOptions, TkrArtifact, TkrMetadata};
 use tucker_tensor::relative_error;
 
 fn main() {
@@ -53,7 +53,11 @@ fn main() {
     for preset in DatasetPreset::all() {
         let ds = preset.generate(1, 2024);
         let dims = ds.data.dims().to_vec();
-        let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+        let result = st_hosvd_ctx(
+            &ds.data,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         let model_ratio = result.tucker.compression_ratio(&dims);
 
         // A ~1% window: one third of every spatial mode, half of the rest.
@@ -79,7 +83,9 @@ fn main() {
                 codec.name()
             ));
             let opts = StoreOptions::new(codec, eps).with_meta(TkrMetadata::for_dataset(&ds));
-            let (report, enc_s) = timed(|| write_tucker(&path, &result.tucker, &opts).unwrap());
+            let (report, enc_s) = timed(|| {
+                try_write_tucker_ctx(&path, &result.tucker, &opts, ExecContext::global()).unwrap()
+            });
             let file_ratio = report.compression_ratio(&dims);
 
             let (artifact, dec_s) = timed(|| TkrArtifact::open(&path).unwrap());
@@ -150,13 +156,23 @@ fn main() {
     for preset in DatasetPreset::all() {
         let ds = preset.generate(1, 2024);
         let dims = ds.data.dims().to_vec();
-        let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+        let result = st_hosvd_ctx(
+            &ds.data,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         let path = tmp.join(format!(
             "table3_pts_{}_{}.tkr",
             std::process::id(),
             preset.name()
         ));
-        write_tucker(&path, &result.tucker, &StoreOptions::new(Codec::F64, eps)).unwrap();
+        try_write_tucker_ctx(
+            &path,
+            &result.tucker,
+            &StoreOptions::new(Codec::F64, eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         let artifact = TkrArtifact::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
 

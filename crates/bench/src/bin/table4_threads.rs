@@ -31,10 +31,11 @@
 //!   recurrences** (`householder_qr_unblocked` / `sym_eig_unblocked`) by
 //!   ≥2× at n = 512 on a single thread. This gate compares two algorithms
 //!   on the *same* tier, so it holds on any host, scalar included, and
-//!   runs even under `TUCKER_TABLE4_SMOKE=1`. The blocked SVD row is
-//!   informational. Factorization bits are also re-checked across every
-//!   supported SIMD tier (AVX-512 only where the host reports it), a
-//!   shrunken `TUCKER_BLOCK` override, and thread counts.
+//!   runs even under `TUCKER_TABLE4_SMOKE=1`. The SVD row is
+//!   informational: its sweeps are scalar on both sides. Factorization
+//!   bits are also re-checked across every supported SIMD tier (AVX-512
+//!   only where the host reports it), a shrunken `TUCKER_BLOCK` override,
+//!   and thread counts.
 //!
 //! The GFLOP/s column is derived from the `tucker-obs` flop counters
 //! (`linalg.gemm.flops` + `linalg.syrk.flops`) that the kernels maintain,
@@ -406,7 +407,7 @@ fn svd_bits_eq(x: &Svd, y: &Svd) -> bool {
 
 /// Blocked Level-3 factorization speedup vs the pinned pre-blocking
 /// recurrences (ISSUE 9). Hard ≥2× gate on `householder_qr` and `sym_eig`
-/// at n = 512; the blocked SVD is reported but not gated. Also re-checks
+/// at n = 512; the SVD is reported but not gated. Also re-checks
 /// that the factorization bits are invariant to the SIMD tier (every tier
 /// the host supports), to a shrunken `TUCKER_BLOCK` override, and to the
 /// pool thread count.

@@ -1,17 +1,18 @@
 //! Tab. V (this repo's extension) — peak-memory gate for the out-of-core
 //! pipeline.
 //!
-//! The whole point of `st_hosvd_streaming` + `compress_streaming` is that
-//! neither compression nor serialization ever holds the full tensor: peak
-//! memory is `O(slab + truncated tensor)` instead of `O(full tensor)` (the
-//! in-memory pipeline is ≥ 2× the tensor on its own — `st_hosvd` clones its
-//! input). This harness *measures* that claim with a tracking global
-//! allocator and enforces it:
+//! The whole point of the streaming pipeline (`st_hosvd_streaming_ctx`, then
+//! `try_write_tucker_ctx`) is that neither compression nor serialization
+//! ever holds the full tensor: peak memory is `O(slab + truncated tensor)`
+//! instead of `O(full tensor)` (the in-memory pipeline is ≥ 2× the tensor on
+//! its own — `st_hosvd_ctx` clones its input). This harness *measures* that
+//! claim with a tracking global allocator and enforces it:
 //!
 //! * **in-memory**  — materialize the HCCI surrogate slab source, run
-//!   `st_hosvd_ctx`, `write_tucker` the result;
-//! * **streaming**  — run `compress_streaming` on the same slab source (the
-//!   field is generated slab by slab, never materialized);
+//!   `st_hosvd_ctx`, `try_write_tucker_ctx` the result;
+//! * **streaming**  — run `st_hosvd_streaming_ctx` on the same slab source
+//!   (the field is generated slab by slab, never materialized) and write
+//!   the result the same way;
 //! * **gate**       — the run **exits non-zero** unless the streaming peak
 //!   is below 50% of the in-memory peak and the two artifacts are
 //!   byte-identical.
@@ -29,7 +30,7 @@ use tucker_bench::{print_header, print_row};
 use tucker_core::prelude::*;
 use tucker_exec::ExecContext;
 use tucker_scidata::DatasetPreset;
-use tucker_store::{compress_streaming, write_tucker_ctx, Codec, StoreOptions};
+use tucker_store::{try_write_tucker_ctx, Codec, StoreOptions};
 use tucker_tensor::SlabSource;
 
 /// Live heap bytes and the high-water mark above the last reset.
@@ -125,12 +126,12 @@ fn main() {
         mib(field_bytes),
     );
 
-    // In-memory pipeline: materialize → st_hosvd_ctx → write_tucker.
+    // In-memory pipeline: materialize → st_hosvd_ctx → try_write_tucker_ctx.
     let base = TrackingAlloc::reset_peak();
     let inmem_report = {
         let x = src.materialize();
         let result = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ctx);
-        write_tucker_ctx(
+        try_write_tucker_ctx(
             &path_mem,
             &result.tucker,
             &StoreOptions::new(Codec::F32, eps),
@@ -142,11 +143,15 @@ fn main() {
 
     // Streaming pipeline: the source is generated slab by slab.
     let base = TrackingAlloc::reset_peak();
-    let (stream_result, stream_report) = compress_streaming(
-        &path_str,
+    let stream_result = st_hosvd_streaming_ctx(
         &src,
         &SthosvdOptions::with_tolerance(eps),
         &StreamingOptions::with_slab_width(slab_width),
+        ctx,
+    );
+    let stream_report = try_write_tucker_ctx(
+        &path_str,
+        &stream_result.tucker,
         &StoreOptions::new(Codec::F32, eps),
         ctx,
     )

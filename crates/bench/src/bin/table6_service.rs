@@ -107,16 +107,16 @@ fn write_slab_chunked(path: &PathBuf, t: &TuckerTensor, codec: Codec, eps: f64) 
         quant_error_bound: 0.0,
         meta: TkrMetadata::default(),
     };
-    let mut w = TkrWriter::create(path, header).expect("create artifact");
+    let mut w = TkrWriter::try_create(path, header).expect("create artifact");
     for (n, u) in t.factors.iter().enumerate() {
-        w.write_factor(n, u).expect("write factor");
+        w.try_write_factor(n, u).expect("write factor");
     }
     let last = *t.core.dims().last().expect("non-scalar core");
     for s in 0..last {
-        w.write_core_chunk(t.core.last_mode_slab(s, 1))
+        w.try_write_core_chunk(t.core.last_mode_slab(s, 1))
             .expect("write chunk");
     }
-    w.finish().expect("finish artifact");
+    w.try_finish().expect("finish artifact");
 }
 
 /// Client-side wire-request attempts per server opcode: every frame this
@@ -360,7 +360,11 @@ fn main() {
     let mut total_chunks = 0usize;
     for (i, codec) in codecs.iter().enumerate() {
         let x = wavy(&dims, 0.3 + 0.7 * i as f64);
-        let r = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let r = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         let path = tmp.join(format!("table6_{pid}_{}.tkr", codec.name()));
         write_slab_chunked(&path, &r.tucker, *codec, eps);
         // Slab-per-chunk: the chunk inventory is the truncated last-mode rank.

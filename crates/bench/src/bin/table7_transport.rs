@@ -20,12 +20,13 @@
 //! Run: `TUCKER_RANKS=4 cargo run --release -p tucker-bench --bin table7_transport`
 
 use tucker_bench::{print_header, print_row};
-use tucker_core::dist::{dist_st_hosvd, DistTensor};
+use tucker_core::dist::{dist_st_hosvd_ctx, hybrid_ctx, DistTensor};
 use tucker_core::sthosvd::SthosvdOptions;
 use tucker_distmem::{Communicator, ProcGrid, SpmdHandle};
+use tucker_exec::ExecContext;
 use tucker_net::{env_ranks, spmd_transport, TransportKind};
 use tucker_obs::metrics::Histogram;
-use tucker_store::{write_tucker, Codec, StoreOptions};
+use tucker_store::{try_write_tucker_ctx, Codec, StoreOptions};
 use tucker_tensor::DenseTensor;
 
 // Same-name statics resolve to the same registry slots the collectives
@@ -90,13 +91,18 @@ fn run_backend(
         exec_args,
         move |comm: Communicator| -> Vec<u8> {
             let dx = DistTensor::from_global(&comm, &x);
-            let r = dist_st_hosvd(&comm, &dx, &opts);
+            let r = dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm));
             match r.tucker.gather_to_root(&comm) {
                 Some(t) => {
                     let path = std::env::temp_dir()
                         .join(format!("table7_{}_{tag}.tkr", std::process::id()));
-                    write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-6))
-                        .expect("write .tkr");
+                    try_write_tucker_ctx(
+                        &path,
+                        &t,
+                        &StoreOptions::new(Codec::F64, 1e-6),
+                        ExecContext::global(),
+                    )
+                    .expect("write .tkr");
                     let bytes = std::fs::read(&path).expect("read .tkr back");
                     let _ = std::fs::remove_file(&path);
                     bytes

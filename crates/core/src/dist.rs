@@ -14,11 +14,14 @@
 //! * [`parallel_evecs`] — Alg. 5: the Gram row blocks are all-gathered within
 //!   the processor column and the (small) `I_n × I_n` eigenproblem is solved
 //!   redundantly on every rank, which keeps the factor matrices replicated.
-//! * [`dist_st_hosvd`] / [`dist_hooi`] — the distributed ST-HOSVD (Alg. 1) and
-//!   HOOI (Alg. 2) drivers, mirroring their sequential counterparts in
-//!   [`crate::sthosvd`] / [`crate::hooi`](mod@crate::hooi) step for step. On a single rank they
-//!   perform bit-identical arithmetic to the sequential code.
-//! * [`dist_reconstruct`] — distributed reconstruction `X̂ = G ×₁ U⁽¹⁾ ⋯ ×_N U⁽ᴺ⁾`.
+//! * [`dist_st_hosvd_ctx`] / [`dist_hooi_ctx`] — the distributed ST-HOSVD
+//!   (Alg. 1) and HOOI (Alg. 2) drivers, mirroring their sequential
+//!   counterparts in [`crate::sthosvd`] / [`crate::hooi`](mod@crate::hooi)
+//!   step for step. On a single rank they perform bit-identical arithmetic
+//!   to the sequential code. Pass [`hybrid_ctx`] for the default per-rank
+//!   share of the pool.
+//! * [`dist_reconstruct_ctx`] — distributed reconstruction
+//!   `X̂ = G ×₁ U⁽¹⁾ ⋯ ×_N U⁽ᴺ⁾`.
 //!
 //! Factor matrices are small (`I_n × R_n`) and kept **replicated** on every
 //! rank, exactly as the paper stores them; only the tensor (and the core) is
@@ -42,11 +45,11 @@ use tucker_tensor::{
     extract_subtensor, gram_ctx, ttm_ctx, DenseTensor, SubtensorSpec, TtmTranspose,
 };
 
-/// The execution context a simulated rank uses when the caller did not pass
-/// one: an even share of the global pool, `max(1, threads / ranks)` — the
-/// hybrid "ranks × threads" model (MPI + OpenMP in TuckerMPI terms). All
-/// ranks scatter onto the **same** persistent pool, so total parallelism
-/// stays bounded by the machine rather than `ranks × threads`.
+/// The default execution context of a simulated rank: an even share of the
+/// global pool, `max(1, threads / ranks)` — the hybrid "ranks × threads"
+/// model (MPI + OpenMP in TuckerMPI terms). All ranks scatter onto the
+/// **same** persistent pool, so total parallelism stays bounded by the
+/// machine rather than `ranks × threads`.
 pub fn hybrid_ctx(comm: &Communicator) -> ExecContext {
     let global = ExecContext::global();
     global.with_budget((global.threads() / comm.size().max(1)).max(1))
@@ -251,7 +254,7 @@ impl tucker_distmem::Wire for KernelTimings {
     }
 }
 
-/// Result of [`dist_st_hosvd`] on one rank.
+/// Result of [`dist_st_hosvd_ctx`] on one rank.
 #[derive(Debug, Clone)]
 pub struct DistSthosvdResult {
     /// The decomposition (distributed core, replicated factors).
@@ -271,7 +274,7 @@ pub struct DistSthosvdResult {
     pub timings: KernelTimings,
 }
 
-/// Result of [`dist_hooi`] on one rank.
+/// Result of [`dist_hooi_ctx`] on one rank.
 #[derive(Debug, Clone)]
 pub struct DistHooiResult {
     /// The refined decomposition (distributed core, replicated factors).
@@ -483,29 +486,31 @@ pub fn assemble_gram(comm: &Communicator, y: &DistTensor, n: usize, s_block: &Ma
     Matrix::from_vec(in_total, in_total, data)
 }
 
-/// Distributed ST-HOSVD (Alg. 1 over Algs. 3–5).
+/// Distributed ST-HOSVD (Alg. 1 over Algs. 3–5) on an explicit per-rank
+/// execution context (hybrid ranks × threads; [`hybrid_ctx`] is the default
+/// share, and [`KernelTimings::thread_budget`] records the budget).
 ///
-/// Mirrors [`crate::sthosvd::st_hosvd`] step for step: for each mode in the
-/// resolved order, Gram → eigenvectors → rank selection → truncating TTM.
-/// Rank selection is driven by the global `‖X‖²`, so every rank picks the
-/// same ranks; on a single rank the arithmetic is identical to the
-/// sequential algorithm.
-pub fn dist_st_hosvd(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &SthosvdOptions,
-) -> DistSthosvdResult {
-    dist_st_hosvd_ctx(comm, x, opts, &hybrid_ctx(comm))
-}
-
-/// [`dist_st_hosvd`] on an explicit per-rank execution context (hybrid
-/// ranks × threads; [`KernelTimings::thread_budget`] records the budget).
+/// Mirrors [`crate::sthosvd::st_hosvd_ctx`] step for step: for each mode in
+/// the resolved order, Gram → eigenvectors → rank selection → truncating
+/// TTM. Rank selection is driven by the global `‖X‖²`, so every rank picks
+/// the same ranks; on a single rank the arithmetic is identical to the
+/// sequential algorithm. Every rank of the grid must call this.
+///
+/// # Panics
+/// Panics on every rank (the check sees only global, replicated data) when
+/// the global shape, mode order or rank selection is invalid, or when the
+/// grid has more processes than elements along some mode. The message is
+/// that of [`validate::validate_sthosvd_inputs`] /
+/// [`validate::validate_grid`].
 pub fn dist_st_hosvd_ctx(
     comm: &Communicator,
     x: &DistTensor,
     opts: &SthosvdOptions,
     ctx: &ExecContext,
 ) -> DistSthosvdResult {
+    if let Err(e) = validate_dist_inputs(comm, x, opts) {
+        panic!("dist_st_hosvd: invalid input: {e}");
+    }
     let nmodes = x.global_dims().len();
     let _span = tucker_obs::span!(
         "dist_st_hosvd",
@@ -591,65 +596,23 @@ fn validate_dist_inputs(
     Ok(())
 }
 
-/// Fallible [`dist_st_hosvd`]: validates the global shape, mode order, rank
-/// selection, and processor grid, returning a [`CoreError`] instead of
-/// panicking. Every rank of the grid must call this (it is itself
-/// collective); on valid input the result is the same, bit for bit.
-pub fn try_dist_st_hosvd(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &SthosvdOptions,
-) -> Result<DistSthosvdResult, CoreError> {
-    try_dist_st_hosvd_ctx(comm, x, opts, &hybrid_ctx(comm))
-}
-
-/// Fallible [`dist_st_hosvd_ctx`]; see [`try_dist_st_hosvd`].
-pub fn try_dist_st_hosvd_ctx(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &SthosvdOptions,
-    ctx: &ExecContext,
-) -> Result<DistSthosvdResult, CoreError> {
-    validate_dist_inputs(comm, x, opts)?;
-    Ok(dist_st_hosvd_ctx(comm, x, opts, ctx))
-}
-
-/// Fallible [`dist_hooi`]: validates like [`try_dist_st_hosvd`] and returns
-/// a [`CoreError`] instead of panicking.
-pub fn try_dist_hooi(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &HooiOptions,
-) -> Result<DistHooiResult, CoreError> {
-    try_dist_hooi_ctx(comm, x, opts, &hybrid_ctx(comm))
-}
-
-/// Fallible [`dist_hooi_ctx`]; see [`try_dist_hooi`].
-pub fn try_dist_hooi_ctx(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &HooiOptions,
-    ctx: &ExecContext,
-) -> Result<DistHooiResult, CoreError> {
-    validate_dist_inputs(comm, x, &opts.init)?;
-    Ok(dist_hooi_ctx(comm, x, opts, ctx))
-}
-
-/// Distributed HOOI (Alg. 2 over Algs. 3–5), initialized with
-/// [`dist_st_hosvd`]. Mirrors [`crate::hooi::hooi`] step for step; the fit
-/// `‖X‖² − ‖G‖²` is computed from globally reduced norms, so every rank makes
-/// the same convergence decision.
-pub fn dist_hooi(comm: &Communicator, x: &DistTensor, opts: &HooiOptions) -> DistHooiResult {
-    dist_hooi_ctx(comm, x, opts, &hybrid_ctx(comm))
-}
-
-/// [`dist_hooi`] on an explicit per-rank execution context.
+/// Distributed HOOI (Alg. 2 over Algs. 3–5) on an explicit per-rank
+/// execution context, initialized with [`dist_st_hosvd_ctx`]. Mirrors
+/// [`crate::hooi::hooi_ctx`] step for step; the fit `‖X‖² − ‖G‖²` is
+/// computed from globally reduced norms, so every rank makes the same
+/// convergence decision.
+///
+/// # Panics
+/// Panics on invalid input exactly like [`dist_st_hosvd_ctx`].
 pub fn dist_hooi_ctx(
     comm: &Communicator,
     x: &DistTensor,
     opts: &HooiOptions,
     ctx: &ExecContext,
 ) -> DistHooiResult {
+    if let Err(e) = validate_dist_inputs(comm, x, &opts.init) {
+        panic!("dist_hooi: invalid input: {e}");
+    }
     let nmodes = x.global_dims().len();
     let _span = tucker_obs::span!(
         "dist_hooi",
@@ -701,14 +664,9 @@ pub fn dist_hooi_ctx(
     }
 }
 
-/// Distributed reconstruction `X̂ = G ×₁ U⁽¹⁾ ⋯ ×_N U⁽ᴺ⁾`: a chain of
-/// parallel TTMs that grows the distributed core back to the original
-/// (distributed) dimensions.
-pub fn dist_reconstruct(comm: &Communicator, t: &DistTucker) -> DistTensor {
-    dist_reconstruct_ctx(comm, t, &hybrid_ctx(comm))
-}
-
-/// [`dist_reconstruct`] on an explicit per-rank execution context.
+/// Distributed reconstruction `X̂ = G ×₁ U⁽¹⁾ ⋯ ×_N U⁽ᴺ⁾` on an explicit
+/// per-rank execution context: a chain of parallel TTMs that grows the
+/// distributed core back to the original (distributed) dimensions.
 pub fn dist_reconstruct_ctx(comm: &Communicator, t: &DistTucker, ctx: &ExecContext) -> DistTensor {
     let mut y = t.core.clone();
     for (n, u) in t.factors.iter().enumerate() {
@@ -720,7 +678,8 @@ pub fn dist_reconstruct_ctx(comm: &Communicator, t: &DistTucker, ctx: &ExecConte
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sthosvd::st_hosvd;
+    use crate::hooi::HooiOptions;
+    use crate::sthosvd::st_hosvd_ctx;
     use tucker_distmem::runtime::spmd_with_grid;
     use tucker_tensor::normalized_rms_error;
 
@@ -780,7 +739,8 @@ mod tests {
         let x = wavy(&dims);
         let results = spmd_with_grid(ProcGrid::new(&[2, 2, 1]), move |comm| {
             let dx = DistTensor::from_global(&comm, &x);
-            dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_ranks(vec![3, 3, 3])).timings
+            let opts = SthosvdOptions::with_ranks(vec![3, 3, 3]);
+            dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm)).timings
         });
         for t in results {
             assert_eq!(t.gram.len(), 3);
@@ -795,12 +755,17 @@ mod tests {
         let dims = [8usize, 7, 6];
         let x = wavy(&dims);
         let x2 = x.clone();
-        let seq = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![3, 3, 3]));
+        let seq = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![3, 3, 3]),
+            ExecContext::global(),
+        );
         let seq_rec = seq.tucker.reconstruct();
         let results = spmd_with_grid(ProcGrid::new(&[1, 2, 2]), move |comm| {
             let dx = DistTensor::from_global(&comm, &x2);
-            let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_ranks(vec![3, 3, 3]));
-            dist_reconstruct(&comm, &r.tucker).gather_to_root(&comm)
+            let ctx = hybrid_ctx(&comm);
+            let r = dist_st_hosvd_ctx(&comm, &dx, &SthosvdOptions::with_ranks(vec![3, 3, 3]), &ctx);
+            dist_reconstruct_ctx(&comm, &r.tucker, &ctx).gather_to_root(&comm)
         });
         let rec = results[0].as_ref().expect("root gathers reconstruction");
         assert!(normalized_rms_error(&seq_rec, rec) < 1e-9);
@@ -812,14 +777,41 @@ mod tests {
         let dims = [7usize, 5, 4];
         let x = wavy(&dims);
         let x2 = x.clone();
-        let seq = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![3, 2, 2]));
+        let seq = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![3, 2, 2]),
+            ExecContext::global(),
+        );
         let seq_rec = seq.tucker.reconstruct();
         let results = spmd_with_grid(ProcGrid::new(&[3, 3, 1]), move |comm| {
             let dx = DistTensor::from_global(&comm, &x2);
-            let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_ranks(vec![3, 2, 2]));
+            let opts = SthosvdOptions::with_ranks(vec![3, 2, 2]);
+            let r = dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm));
             r.tucker.gather_to_root(&comm)
         });
         let rec = results[0].as_ref().unwrap().reconstruct();
         assert!(normalized_rms_error(&seq_rec, &rec) < 1e-8);
+    }
+
+    #[test]
+    #[should_panic(expected = "processes along mode 0")]
+    fn grid_with_more_processes_than_a_mode_extent_panics() {
+        let x = wavy(&[2, 6, 5]);
+        spmd_with_grid(ProcGrid::new(&[3, 1, 1]), move |comm| {
+            let dx = DistTensor::from_global(&comm, &x);
+            let opts = SthosvdOptions::with_tolerance(0.1);
+            dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the extent 5 of mode 2")]
+    fn fixed_rank_above_its_mode_dimension_panics() {
+        let x = wavy(&[6, 6, 5]);
+        spmd_with_grid(ProcGrid::new(&[2, 1, 1]), move |comm| {
+            let dx = DistTensor::from_global(&comm, &x);
+            let opts = HooiOptions::with_ranks(vec![3, 3, 6], 1);
+            dist_hooi_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm));
+        });
     }
 }

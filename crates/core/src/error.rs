@@ -117,9 +117,10 @@ pub fn compression_ratio(original_dims: &[usize], ranks: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sthosvd::{st_hosvd, SthosvdOptions};
+    use crate::sthosvd::{st_hosvd_ctx, SthosvdOptions};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use tucker_exec::ExecContext;
     use tucker_tensor::normalized_rms_error;
 
     fn random_tensor(rng: &mut StdRng, dims: &[usize]) -> DenseTensor {
@@ -162,7 +163,11 @@ mod tests {
         let curves = mode_wise_error_curves(&x);
         let ranks = vec![5, 4, 4];
         let bound = error_bound(&curves, &ranks, x.norm());
-        let st = st_hosvd(&x, &SthosvdOptions::with_ranks(ranks));
+        let st = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(ranks),
+            ExecContext::global(),
+        );
         let err = normalized_rms_error(&x, &st.tucker.reconstruct());
         assert!(err <= bound + 1e-10, "error {err} exceeds bound {bound}");
     }
@@ -176,7 +181,11 @@ mod tests {
         let curves = mode_wise_error_curves(&x);
         let eps = 0.3;
         let curve_ranks = ranks_for_tolerance(&curves, eps);
-        let st = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let st = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         for (n, (&cr, &sr)) in curve_ranks.iter().zip(st.ranks.iter()).enumerate() {
             assert!(
                 sr <= cr + 1,

@@ -9,7 +9,7 @@
 
 use crate::sthosvd::{st_hosvd_ctx, SthosvdOptions};
 use crate::tucker::TuckerTensor;
-use crate::validate::{self, CoreError};
+use crate::validate;
 use serde::{Deserialize, Serialize};
 use tucker_exec::{ExecContext, Workspace};
 use tucker_linalg::eig::sym_eig_desc;
@@ -76,13 +76,12 @@ impl HooiResult {
     }
 }
 
-/// Computes a Tucker decomposition by HOOI (Alg. 2), initialized with
-/// ST-HOSVD, on the global execution context.
-pub fn hooi(x: &DenseTensor, opts: &HooiOptions) -> HooiResult {
-    hooi_ctx(x, opts, ExecContext::global())
-}
+/// Outer HOOI iterations actually executed (convergence may stop early);
+/// see `tucker-obs` — driver-level counterpart of the kernel flop counters.
+static HOOI_ITERATIONS: Counter = Counter::new("core.hooi.iterations");
 
-/// [`hooi`] on an explicit execution context.
+/// Computes a Tucker decomposition by HOOI (Alg. 2), initialized with
+/// ST-HOSVD, on an explicit execution context.
 ///
 /// The TTM chain of every factor update runs through a [`Workspace`]: the
 /// shrinking intermediates of Alg. 2 line 5 ping-pong between recycled
@@ -91,39 +90,12 @@ pub fn hooi(x: &DenseTensor, opts: &HooiOptions) -> HooiResult {
 /// counts.
 ///
 /// # Panics
-/// Panics on structurally invalid input (see
-/// [`crate::sthosvd::st_hosvd`]); use [`try_hooi_ctx`] for a
-/// [`CoreError`] instead.
+/// Panics on structurally invalid initialization options, with the message
+/// of [`validate::validate_sthosvd_inputs`] (see [`st_hosvd_ctx`]).
 pub fn hooi_ctx(x: &DenseTensor, opts: &HooiOptions, ctx: &ExecContext) -> HooiResult {
-    match try_hooi_ctx(x, opts, ctx) {
-        Ok(r) => r,
-        Err(e) => panic!("hooi: invalid input: {e}"),
+    if let Err(e) = validate::validate_sthosvd_inputs(x.dims(), &opts.init) {
+        panic!("hooi: invalid input: {e}");
     }
-}
-
-/// Fallible [`hooi`]: validates the initialization options (shape, mode
-/// order, rank selection) and returns a [`CoreError`] instead of panicking.
-/// On valid input the result is the same, bit for bit.
-pub fn try_hooi(x: &DenseTensor, opts: &HooiOptions) -> Result<HooiResult, CoreError> {
-    try_hooi_ctx(x, opts, ExecContext::global())
-}
-
-/// Fallible [`hooi_ctx`]; see [`try_hooi`].
-pub fn try_hooi_ctx(
-    x: &DenseTensor,
-    opts: &HooiOptions,
-    ctx: &ExecContext,
-) -> Result<HooiResult, CoreError> {
-    validate::validate_sthosvd_inputs(x.dims(), &opts.init)?;
-    Ok(hooi_unchecked(x, opts, ctx))
-}
-
-/// Outer HOOI iterations actually executed (convergence may stop early);
-/// see `tucker-obs` — driver-level counterpart of the kernel flop counters.
-static HOOI_ITERATIONS: Counter = Counter::new("core.hooi.iterations");
-
-/// The Alg. 2 kernel itself; inputs have been validated.
-fn hooi_unchecked(x: &DenseTensor, opts: &HooiOptions, ctx: &ExecContext) -> HooiResult {
     let nmodes = x.ndims();
     let _span = tucker_obs::span!("hooi", nmodes = nmodes, threads = ctx.threads());
     let norm_x_sq = x.norm_sq();
@@ -195,7 +167,7 @@ fn hooi_unchecked(x: &DenseTensor, opts: &HooiOptions, ctx: &ExecContext) -> Hoo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sthosvd::st_hosvd;
+    use crate::sthosvd::st_hosvd_ctx;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tucker_tensor::{normalized_rms_error, ttm_chain};
@@ -236,7 +208,11 @@ mod tests {
     fn exact_low_rank_recovery() {
         let mut rng = StdRng::seed_from_u64(90);
         let x = low_rank_plus_noise(&mut rng, &[10, 9, 8], &[3, 3, 3], 0.0);
-        let result = hooi(&x, &HooiOptions::with_tolerance(1e-6, 3));
+        let result = hooi_ctx(
+            &x,
+            &HooiOptions::with_tolerance(1e-6, 3),
+            ExecContext::global(),
+        );
         let rec = result.tucker.reconstruct();
         assert!(normalized_rms_error(&x, &rec) < 1e-6);
         assert_eq!(result.ranks, vec![3, 3, 3]);
@@ -246,7 +222,11 @@ mod tests {
     fn fit_decreases_monotonically() {
         let mut rng = StdRng::seed_from_u64(91);
         let x = low_rank_plus_noise(&mut rng, &[10, 10, 10], &[3, 3, 3], 0.3);
-        let result = hooi(&x, &HooiOptions::with_ranks(vec![3, 3, 3], 6));
+        let result = hooi_ctx(
+            &x,
+            &HooiOptions::with_ranks(vec![3, 3, 3], 6),
+            ExecContext::global(),
+        );
         for w in result.fit_history.windows(2) {
             assert!(
                 w[1] <= w[0] + 1e-9 * x.norm_sq(),
@@ -261,8 +241,16 @@ mod tests {
     fn hooi_not_worse_than_sthosvd() {
         let mut rng = StdRng::seed_from_u64(92);
         let x = low_rank_plus_noise(&mut rng, &[12, 10, 9], &[4, 3, 3], 0.5);
-        let st = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![4, 3, 3]));
-        let ho = hooi(&x, &HooiOptions::with_ranks(vec![4, 3, 3], 5));
+        let st = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![4, 3, 3]),
+            ExecContext::global(),
+        );
+        let ho = hooi_ctx(
+            &x,
+            &HooiOptions::with_ranks(vec![4, 3, 3], 5),
+            ExecContext::global(),
+        );
         let st_err = normalized_rms_error(&x, &st.tucker.reconstruct());
         let ho_err = normalized_rms_error(&x, &ho.tucker.reconstruct());
         assert!(ho_err <= st_err + 1e-10);
@@ -273,7 +261,11 @@ mod tests {
         // ‖X‖² − ‖G‖² == ‖X − G × {U}‖² for orthonormal factors.
         let mut rng = StdRng::seed_from_u64(93);
         let x = low_rank_plus_noise(&mut rng, &[9, 8, 7], &[3, 3, 3], 0.4);
-        let result = hooi(&x, &HooiOptions::with_ranks(vec![3, 3, 3], 3));
+        let result = hooi_ctx(
+            &x,
+            &HooiOptions::with_ranks(vec![3, 3, 3], 3),
+            ExecContext::global(),
+        );
         let rec = result.tucker.reconstruct();
         let direct = x.sub(&rec).norm_sq();
         let fit = *result.fit_history.last().unwrap();
@@ -284,11 +276,19 @@ mod tests {
     fn zero_iterations_allowed() {
         let mut rng = StdRng::seed_from_u64(94);
         let x = random_tensor(&mut rng, &[6, 6, 6]);
-        let result = hooi(&x, &HooiOptions::with_ranks(vec![2, 2, 2], 0));
+        let result = hooi_ctx(
+            &x,
+            &HooiOptions::with_ranks(vec![2, 2, 2], 0),
+            ExecContext::global(),
+        );
         assert_eq!(result.iterations, 0);
         assert_eq!(result.fit_history.len(), 1);
         // Result equals the ST-HOSVD initialization.
-        let st = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![2, 2, 2]));
+        let st = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![2, 2, 2]),
+            ExecContext::global(),
+        );
         let a = result.tucker.reconstruct();
         let b = st.tucker.reconstruct();
         assert!(normalized_rms_error(&a, &b) < 1e-12);
@@ -298,7 +298,11 @@ mod tests {
     fn converges_early_when_fit_stalls() {
         let mut rng = StdRng::seed_from_u64(95);
         let x = low_rank_plus_noise(&mut rng, &[8, 8, 8], &[2, 2, 2], 0.0);
-        let result = hooi(&x, &HooiOptions::with_tolerance(1e-10, 50));
+        let result = hooi_ctx(
+            &x,
+            &HooiOptions::with_tolerance(1e-10, 50),
+            ExecContext::global(),
+        );
         // Exact low-rank data converges immediately; far fewer than 50 sweeps.
         assert!(result.iterations <= 3);
     }
@@ -307,7 +311,11 @@ mod tests {
     fn relative_error_estimate_matches_actual() {
         let mut rng = StdRng::seed_from_u64(96);
         let x = low_rank_plus_noise(&mut rng, &[9, 9, 9], &[3, 3, 3], 0.2);
-        let result = hooi(&x, &HooiOptions::with_ranks(vec![3, 3, 3], 4));
+        let result = hooi_ctx(
+            &x,
+            &HooiOptions::with_ranks(vec![3, 3, 3], 4),
+            ExecContext::global(),
+        );
         let actual = normalized_rms_error(&x, &result.tucker.reconstruct());
         let estimate = result.relative_error_estimate(x.norm_sq());
         assert!((actual - estimate).abs() < 1e-6 * (1.0 + actual));
@@ -317,7 +325,11 @@ mod tests {
     fn factors_remain_orthonormal() {
         let mut rng = StdRng::seed_from_u64(97);
         let x = random_tensor(&mut rng, &[8, 7, 6]);
-        let result = hooi(&x, &HooiOptions::with_ranks(vec![3, 3, 3], 3));
+        let result = hooi_ctx(
+            &x,
+            &HooiOptions::with_ranks(vec![3, 3, 3], 3),
+            ExecContext::global(),
+        );
         assert!(result.tucker.factors_orthonormal(1e-8));
     }
 }

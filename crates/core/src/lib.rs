@@ -12,6 +12,13 @@
 //!   block-distributed tensor (Sec. IV), the parallel TTM / Gram /
 //!   eigenvector kernels (Algs. 3–5), and distributed ST-HOSVD / HOOI built
 //!   on top of the simulated message-passing runtime in `tucker-distmem`.
+//!
+//! Each driver has one entry point, which takes an explicit
+//! [`ExecContext`](tucker_exec::ExecContext) (`ExecContext::global()` for
+//! the whole pool, [`dist::hybrid_ctx`] for a rank's share) and panics on
+//! structurally invalid input with the message of the shared [`validate`]
+//! checks. `tucker_api::Compressor` runs the same checks up front and
+//! returns them as typed errors.
 //! * **Compression machinery** — [`rank`] (ε-driven rank selection),
 //!   [`error`] (mode-wise error analysis, the error bound eq. (3), and
 //!   compression ratios), and [`ordering`] (mode-ordering strategies,
@@ -31,7 +38,7 @@
 //!
 //! // Compress to a relative error of 1e-4.
 //! let opts = SthosvdOptions::with_tolerance(1e-4);
-//! let result = st_hosvd(&x, &opts);
+//! let result = st_hosvd_ctx(&x, &opts, ExecContext::global());
 //!
 //! // Reconstruct and check the error.
 //! let x_hat = result.tucker.reconstruct();
@@ -53,20 +60,15 @@ pub mod tucker;
 pub mod validate;
 
 pub use error::{compression_ratio, error_bound, mode_wise_error_curves, ModeErrorCurve};
-pub use hooi::{hooi, hooi_ctx, try_hooi, try_hooi_ctx, HooiOptions, HooiResult};
+pub use hooi::{hooi_ctx, HooiOptions, HooiResult};
 pub use ordering::ModeOrder;
 pub use rank::{select_rank_by_threshold, RankSelection};
 pub use reconstruct::{
     reconstruct_element, reconstruct_full, reconstruct_full_ctx, reconstruct_subtensor,
     reconstruct_subtensor_ctx,
 };
-pub use sthosvd::{
-    st_hosvd, st_hosvd_ctx, try_st_hosvd, try_st_hosvd_ctx, SthosvdOptions, SthosvdResult,
-};
-pub use streaming::{
-    st_hosvd_streaming, st_hosvd_streaming_ctx, try_st_hosvd_streaming, try_st_hosvd_streaming_ctx,
-    StreamingOptions,
-};
+pub use sthosvd::{st_hosvd_ctx, SthosvdOptions, SthosvdResult};
+pub use streaming::{st_hosvd_streaming_ctx, StreamingOptions};
 pub use thosvd::{t_hosvd, ThosvdResult};
 pub use tucker::TuckerTensor;
 pub use validate::{CoreError, RankError, ShapeError};
@@ -75,17 +77,12 @@ pub use validate::{CoreError, RankError, ShapeError};
 pub mod prelude {
     pub use crate::dist::{DistTensor, DistTucker};
     pub use crate::error::{compression_ratio, error_bound, mode_wise_error_curves};
-    pub use crate::hooi::{hooi, hooi_ctx, try_hooi, try_hooi_ctx, HooiOptions, HooiResult};
+    pub use crate::hooi::{hooi_ctx, HooiOptions, HooiResult};
     pub use crate::ordering::ModeOrder;
     pub use crate::rank::RankSelection;
     pub use crate::reconstruct::{reconstruct_element, reconstruct_full, reconstruct_subtensor};
-    pub use crate::sthosvd::{
-        st_hosvd, st_hosvd_ctx, try_st_hosvd, try_st_hosvd_ctx, SthosvdOptions, SthosvdResult,
-    };
-    pub use crate::streaming::{
-        st_hosvd_streaming, st_hosvd_streaming_ctx, try_st_hosvd_streaming,
-        try_st_hosvd_streaming_ctx, StreamingOptions,
-    };
+    pub use crate::sthosvd::{st_hosvd_ctx, SthosvdOptions, SthosvdResult};
+    pub use crate::streaming::{st_hosvd_streaming_ctx, StreamingOptions};
     pub use crate::thosvd::t_hosvd;
     pub use crate::tucker::TuckerTensor;
     pub use crate::validate::{CoreError, RankError, ShapeError};

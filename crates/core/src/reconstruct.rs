@@ -119,9 +119,10 @@ pub fn reconstruct_coarse(t: &TuckerTensor, coarse_modes: &[usize], stride: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sthosvd::{st_hosvd, SthosvdOptions};
+    use crate::sthosvd::{st_hosvd_ctx, SthosvdOptions};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use tucker_exec::ExecContext;
     use tucker_tensor::extract_subtensor;
 
     fn compressed_random(
@@ -136,7 +137,11 @@ mod tests {
             }
             v + 0.01 * rng.gen_range(-1.0..1.0)
         });
-        let r = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let r = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         (x, r.tucker)
     }
 

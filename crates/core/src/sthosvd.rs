@@ -9,7 +9,7 @@
 use crate::ordering::ModeOrder;
 use crate::rank::{discarded_tail, RankSelection};
 use crate::tucker::TuckerTensor;
-use crate::validate::{self, CoreError};
+use crate::validate;
 use serde::{Deserialize, Serialize};
 use tucker_exec::ExecContext;
 use tucker_linalg::eig::sym_eig_desc;
@@ -86,49 +86,21 @@ impl SthosvdResult {
     }
 }
 
-/// Computes the ST-HOSVD of `x` (Alg. 1) on the global execution context.
-///
-/// # Panics
-/// Panics on structurally invalid input (empty/zero-extent shape, fixed
-/// ranks exceeding the mode dims, a non-permutation custom order); use
-/// [`try_st_hosvd`] for a [`CoreError`] instead.
-pub fn st_hosvd(x: &DenseTensor, opts: &SthosvdOptions) -> SthosvdResult {
-    st_hosvd_ctx(x, opts, ExecContext::global())
-}
-
-/// [`st_hosvd`] on an explicit execution context: the Gram and TTM kernels of
-/// every mode run on the context's share of the process pool. Results are
+/// Computes the ST-HOSVD of `x` (Alg. 1) on an explicit execution context:
+/// the Gram and TTM kernels of every mode run on the context's share of the
+/// process pool ([`ExecContext::global`] for the whole pool). Results are
 /// bit-identical for every thread count (see `docs/ARCHITECTURE.md` §4).
 ///
 /// # Panics
-/// Panics on structurally invalid input; use [`try_st_hosvd_ctx`] for a
-/// [`CoreError`] instead.
+/// Panics with the message of [`validate::validate_sthosvd_inputs`] on
+/// structurally invalid input (empty/zero-extent shape, fixed ranks
+/// exceeding the mode dims, a non-permutation custom order). The
+/// `tucker-api` `Compressor` runs the same check and returns it as a typed
+/// error instead.
 pub fn st_hosvd_ctx(x: &DenseTensor, opts: &SthosvdOptions, ctx: &ExecContext) -> SthosvdResult {
-    match try_st_hosvd_ctx(x, opts, ctx) {
-        Ok(r) => r,
-        Err(e) => panic!("st_hosvd: invalid input: {e}"),
+    if let Err(e) = validate::validate_sthosvd_inputs(x.dims(), opts) {
+        panic!("st_hosvd: invalid input: {e}");
     }
-}
-
-/// Fallible [`st_hosvd`]: validates the input shape, mode order, and rank
-/// selection, returning a [`CoreError`] instead of panicking. On valid input
-/// the result is the same, bit for bit.
-pub fn try_st_hosvd(x: &DenseTensor, opts: &SthosvdOptions) -> Result<SthosvdResult, CoreError> {
-    try_st_hosvd_ctx(x, opts, ExecContext::global())
-}
-
-/// Fallible [`st_hosvd_ctx`]; see [`try_st_hosvd`].
-pub fn try_st_hosvd_ctx(
-    x: &DenseTensor,
-    opts: &SthosvdOptions,
-    ctx: &ExecContext,
-) -> Result<SthosvdResult, CoreError> {
-    validate::validate_sthosvd_inputs(x.dims(), opts)?;
-    Ok(st_hosvd_unchecked(x, opts, ctx))
-}
-
-/// The Alg. 1 kernel itself; inputs have been validated.
-fn st_hosvd_unchecked(x: &DenseTensor, opts: &SthosvdOptions, ctx: &ExecContext) -> SthosvdResult {
     let nmodes = x.ndims();
     let _span = tucker_obs::span!("st_hosvd", nmodes = nmodes, threads = ctx.threads());
     ST_HOSVD_RUNS.inc();
@@ -210,7 +182,11 @@ mod tests {
         // approach (the paper's Sec. II-B / IX caveat), so use 1e-6.
         let mut rng = StdRng::seed_from_u64(70);
         let x = low_rank_tensor(&mut rng, &[12, 10, 8], &[3, 4, 2]);
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-6));
+        let result = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(1e-6),
+            ExecContext::global(),
+        );
         assert_eq!(result.ranks, vec![3, 4, 2]);
         let rec = result.tucker.reconstruct();
         assert!(normalized_rms_error(&x, &rec) < 1e-6);
@@ -220,7 +196,11 @@ mod tests {
     fn fixed_ranks_are_respected() {
         let mut rng = StdRng::seed_from_u64(71);
         let x = random_tensor(&mut rng, &[10, 9, 8]);
-        let result = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![4, 3, 2]));
+        let result = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![4, 3, 2]),
+            ExecContext::global(),
+        );
         assert_eq!(result.ranks, vec![4, 3, 2]);
         assert_eq!(result.tucker.core.dims(), &[4, 3, 2]);
         assert_eq!(result.tucker.factors[0].shape(), (10, 4));
@@ -233,7 +213,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(72);
         let x = random_tensor(&mut rng, &[12, 11, 10]);
         for eps in [0.5, 0.2, 0.05] {
-            let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+            let result = st_hosvd_ctx(
+                &x,
+                &SthosvdOptions::with_tolerance(eps),
+                ExecContext::global(),
+            );
             let rec = result.tucker.reconstruct();
             let err = normalized_rms_error(&x, &rec);
             assert!(
@@ -249,8 +233,16 @@ mod tests {
     fn tighter_tolerance_gives_larger_ranks() {
         let mut rng = StdRng::seed_from_u64(73);
         let x = random_tensor(&mut rng, &[14, 12, 10]);
-        let loose = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.5));
-        let tight = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.01));
+        let loose = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(0.5),
+            ExecContext::global(),
+        );
+        let tight = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(0.01),
+            ExecContext::global(),
+        );
         for n in 0..3 {
             assert!(tight.ranks[n] >= loose.ranks[n]);
         }
@@ -260,7 +252,11 @@ mod tests {
     fn factors_have_orthonormal_columns() {
         let mut rng = StdRng::seed_from_u64(74);
         let x = random_tensor(&mut rng, &[9, 8, 7]);
-        let result = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![4, 4, 4]));
+        let result = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![4, 4, 4]),
+            ExecContext::global(),
+        );
         assert!(result.tucker.factors_orthonormal(1e-8));
     }
 
@@ -275,7 +271,7 @@ mod tests {
             ModeOrder::SmallestFirst,
         ] {
             let opts = SthosvdOptions::with_tolerance(1e-6).order(order);
-            let result = st_hosvd(&x, &opts);
+            let result = st_hosvd_ctx(&x, &opts, ExecContext::global());
             let rec = result.tucker.reconstruct();
             assert!(normalized_rms_error(&x, &rec) < 1e-6);
             assert_eq!(result.ranks, vec![2, 3, 2]);
@@ -286,7 +282,11 @@ mod tests {
     fn eigenvalues_are_recorded_per_mode() {
         let mut rng = StdRng::seed_from_u64(76);
         let x = random_tensor(&mut rng, &[6, 5, 4]);
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.1));
+        let result = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(0.1),
+            ExecContext::global(),
+        );
         // The first processed mode sees the full tensor: its eigenvalues sum to ‖X‖².
         let first = result.processed_order[0];
         let sum: f64 = result.mode_eigenvalues[first].iter().sum();
@@ -302,7 +302,11 @@ mod tests {
         // and exactly bounded by it).
         let mut rng = StdRng::seed_from_u64(77);
         let x = random_tensor(&mut rng, &[8, 8, 8]);
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.3));
+        let result = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(0.3),
+            ExecContext::global(),
+        );
         let lost = x.norm_sq() - result.tucker.core.norm_sq();
         assert!(lost >= -1e-9);
         assert!(lost <= result.discarded_energy + 1e-9 * x.norm_sq());
@@ -319,8 +323,16 @@ mod tests {
         for (xi, ni) in x.as_mut_slice().iter_mut().zip(noise.as_slice()) {
             *xi += scale * ni;
         }
-        let loose = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-1));
-        let tight = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-6));
+        let loose = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(1e-1),
+            ExecContext::global(),
+        );
+        let tight = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(1e-6),
+            ExecContext::global(),
+        );
         assert!(
             loose.tucker.compression_ratio(x.dims()) >= tight.tucker.compression_ratio(x.dims())
         );

@@ -1,6 +1,6 @@
 //! Out-of-core ST-HOSVD: the two-phase streaming driver.
 //!
-//! [`st_hosvd`](crate::sthosvd::st_hosvd) needs the full tensor resident
+//! [`st_hosvd_ctx`](crate::sthosvd::st_hosvd_ctx) needs the full tensor resident
 //! (twice, in fact — it clones its input before shrinking). This module
 //! computes the *identical* decomposition from a [`SlabSource`] that yields
 //! whole last-mode slabs on demand, so peak memory is
@@ -36,7 +36,7 @@
 use crate::rank::discarded_tail;
 use crate::sthosvd::{SthosvdOptions, SthosvdResult};
 use crate::tucker::TuckerTensor;
-use crate::validate::{self, CoreError};
+use crate::validate;
 use serde::{Deserialize, Serialize};
 use tucker_exec::ExecContext;
 use tucker_linalg::eig::sym_eig_desc;
@@ -72,70 +72,28 @@ impl Default for StreamingOptions {
     }
 }
 
-/// Computes the ST-HOSVD of a slab source on the global execution context.
-/// See [`st_hosvd_streaming_ctx`].
-pub fn st_hosvd_streaming(
-    src: &impl SlabSource,
-    opts: &SthosvdOptions,
-    stream: &StreamingOptions,
-) -> SthosvdResult {
-    st_hosvd_streaming_ctx(src, opts, stream, ExecContext::global())
-}
-
-/// [`st_hosvd_streaming`] on an explicit execution context.
+/// Computes the ST-HOSVD of a slab source on an explicit execution context.
 ///
 /// The result is **bit-identical** to
 /// [`st_hosvd_ctx`](crate::sthosvd::st_hosvd_ctx) on the materialized tensor
 /// for every slab width and thread count (see the module docs for why).
 ///
 /// # Panics
-/// Panics if the source has fewer than two modes, or if the resolved mode
-/// order does not process the streaming (last) mode last — the last mode's
-/// Gram couples every pair of slabs, so it can only be processed once the
-/// others have shrunk the tensor into memory. `ModeOrder::Natural` always
-/// satisfies this.
+/// Panics with the message of [`validate::validate_streaming_inputs`] on
+/// invalid input: everything `st_hosvd_ctx` rejects, a source with fewer
+/// than two modes, or a resolved mode order that does not process the
+/// streaming (last) mode last — the last mode's Gram couples every pair of
+/// slabs, so it can only be processed once the others have shrunk the
+/// tensor into memory. `ModeOrder::Natural` always satisfies this.
 pub fn st_hosvd_streaming_ctx(
     src: &impl SlabSource,
     opts: &SthosvdOptions,
     stream: &StreamingOptions,
     ctx: &ExecContext,
 ) -> SthosvdResult {
-    match try_st_hosvd_streaming_ctx(src, opts, stream, ctx) {
-        Ok(r) => r,
-        Err(e) => panic!("st_hosvd_streaming: invalid input: {e}"),
+    if let Err(e) = validate::validate_streaming_inputs(src.dims(), opts) {
+        panic!("st_hosvd_streaming: invalid input: {e}");
     }
-}
-
-/// Fallible [`st_hosvd_streaming`]: validates the source shape, mode order
-/// (which must process the streaming mode last), and rank selection,
-/// returning a [`CoreError`] instead of panicking. On valid input the result
-/// is the same, bit for bit.
-pub fn try_st_hosvd_streaming(
-    src: &impl SlabSource,
-    opts: &SthosvdOptions,
-    stream: &StreamingOptions,
-) -> Result<SthosvdResult, CoreError> {
-    try_st_hosvd_streaming_ctx(src, opts, stream, ExecContext::global())
-}
-
-/// Fallible [`st_hosvd_streaming_ctx`]; see [`try_st_hosvd_streaming`].
-pub fn try_st_hosvd_streaming_ctx(
-    src: &impl SlabSource,
-    opts: &SthosvdOptions,
-    stream: &StreamingOptions,
-    ctx: &ExecContext,
-) -> Result<SthosvdResult, CoreError> {
-    validate::validate_streaming_inputs(src.dims(), opts)?;
-    Ok(st_hosvd_streaming_unchecked(src, opts, stream, ctx))
-}
-
-/// The two-phase streaming kernel itself; inputs have been validated.
-fn st_hosvd_streaming_unchecked(
-    src: &impl SlabSource,
-    opts: &SthosvdOptions,
-    stream: &StreamingOptions,
-    ctx: &ExecContext,
-) -> SthosvdResult {
     let dims = src.dims().to_vec();
     let nmodes = dims.len();
     let _span = tucker_obs::span!(
@@ -144,27 +102,16 @@ fn st_hosvd_streaming_unchecked(
         slab_width = stream.slab_width.max(1),
         threads = ctx.threads(),
     );
-    assert!(
-        nmodes >= 2,
-        "st_hosvd_streaming: need at least 2 modes (got {nmodes})"
-    );
     let last = nmodes - 1;
     let last_dim = dims[last];
     let width = stream.slab_width.max(1);
 
     // Resolve the processing order exactly like the in-memory driver (and
-    // like validate_streaming_inputs, which certified it ends in the last
-    // mode — one shared rank_hint, so they cannot drift).
+    // like validate_streaming_inputs, which certified above that it ends in
+    // the last mode — one shared rank_hint, so they cannot drift).
     let order = opts
         .order
         .resolve(&dims, &validate::rank_hint(&opts.rank, &dims));
-    assert_eq!(
-        order.last(),
-        Some(&last),
-        "st_hosvd_streaming: the streaming (last) mode must be processed last \
-         (resolved order {order:?}); use ModeOrder::Natural or a custom order \
-         ending in mode {last}"
-    );
 
     let mut factors: Vec<Option<Matrix>> = vec![None; nmodes];
     let mut ranks = vec![0usize; nmodes];
@@ -353,17 +300,23 @@ mod tests {
     fn order_not_ending_in_streaming_mode_panics() {
         let x = DenseTensor::zeros(&[4, 4, 4]);
         let opts = SthosvdOptions::with_tolerance(0.1).order(ModeOrder::Custom(vec![2, 1, 0]));
-        st_hosvd_streaming(&x, &opts, &StreamingOptions::default());
+        st_hosvd_streaming_ctx(
+            &x,
+            &opts,
+            &StreamingOptions::default(),
+            ExecContext::global(),
+        );
     }
 
     #[test]
     #[should_panic]
     fn one_way_tensor_panics() {
         let x = DenseTensor::zeros(&[4]);
-        st_hosvd_streaming(
+        st_hosvd_streaming_ctx(
             &x,
             &SthosvdOptions::with_tolerance(0.1),
             &StreamingOptions::default(),
+            ExecContext::global(),
         );
     }
 }

@@ -79,9 +79,10 @@ pub fn t_hosvd(x: &DenseTensor, rank: &RankSelection) -> ThosvdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sthosvd::{st_hosvd, SthosvdOptions};
+    use crate::sthosvd::{st_hosvd_ctx, SthosvdOptions};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use tucker_exec::ExecContext;
     use tucker_tensor::{normalized_rms_error, ttm_chain};
 
     fn random_tensor(rng: &mut StdRng, dims: &[usize]) -> DenseTensor {
@@ -132,7 +133,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(82);
         let x = random_tensor(&mut rng, &[9, 9, 9]);
         let th = t_hosvd(&x, &RankSelection::Fixed(vec![4, 4, 4]));
-        let st = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![4, 4, 4]));
+        let st = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![4, 4, 4]),
+            ExecContext::global(),
+        );
         let th_err = normalized_rms_error(&x, &th.tucker.reconstruct());
         let st_err = normalized_rms_error(&x, &st.tucker.reconstruct());
         assert!(st_err <= th.error_bound() + 1e-10);

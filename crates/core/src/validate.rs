@@ -1,22 +1,23 @@
-//! Input validation and the typed errors of the fallible (`try_*`) API.
+//! Input validation and the typed errors of the compression drivers.
 //!
-//! Every `try_*` entry point of this crate — [`try_st_hosvd`],
-//! [`try_hooi`], [`try_st_hosvd_streaming`], [`try_dist_st_hosvd`] — runs
-//! the validators below *before* touching a kernel, so malformed input
+//! Every driver of this crate — [`st_hosvd_ctx`], [`hooi_ctx`],
+//! [`st_hosvd_streaming_ctx`], [`dist_st_hosvd_ctx`], [`dist_hooi_ctx`] —
+//! runs the validators below *before* touching a kernel, so malformed input
 //! (an empty shape, a zero-length mode, fixed ranks exceeding the mode
-//! dimensions, a mode order that is not a permutation) surfaces as a
-//! [`CoreError`] instead of a panic deep inside a GEMM. The historical
-//! panicking names (`st_hosvd`, `hooi`, …) are thin wrappers over the
-//! `try_*` forms that panic with the same diagnostic, so the two surfaces
-//! can never drift apart.
+//! dimensions, a mode order that is not a permutation, a grid wider than a
+//! mode) panics with the validator's diagnostic instead of deep inside a
+//! GEMM. `tucker_api::Compressor::plan` runs the same functions and returns
+//! their [`CoreError`] as a value, so the two surfaces can never drift
+//! apart.
 //!
 //! This module is covered by the CI panic-grep gate: no `panic!`, `unwrap`,
 //! `expect`, or `assert` may appear here — every failure is a returned value.
 //!
-//! [`try_st_hosvd`]: crate::sthosvd::try_st_hosvd
-//! [`try_hooi`]: crate::hooi::try_hooi
-//! [`try_st_hosvd_streaming`]: crate::streaming::try_st_hosvd_streaming
-//! [`try_dist_st_hosvd`]: crate::dist::try_dist_st_hosvd
+//! [`st_hosvd_ctx`]: crate::sthosvd::st_hosvd_ctx
+//! [`hooi_ctx`]: crate::hooi::hooi_ctx
+//! [`st_hosvd_streaming_ctx`]: crate::streaming::st_hosvd_streaming_ctx
+//! [`dist_st_hosvd_ctx`]: crate::dist::dist_st_hosvd_ctx
+//! [`dist_hooi_ctx`]: crate::dist::dist_hooi_ctx
 
 use crate::ordering::ModeOrder;
 use crate::rank::RankSelection;
@@ -161,7 +162,7 @@ impl fmt::Display for RankError {
 
 impl std::error::Error for RankError {}
 
-/// Why a `try_*` decomposition entry point rejected its input.
+/// Why a decomposition driver rejected its input.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CoreError {
     /// The tensor shape or mode ordering is invalid.
@@ -292,8 +293,8 @@ pub fn validate_rank_selection(sel: &RankSelection, dims: &[usize]) -> Result<()
 
 /// Validates a processor grid against the tensor dims: matching order, and
 /// no mode with more processes than elements (some ranks would own empty
-/// blocks). Shared by the distributed `try_*` entry points and the
-/// `tucker-api` planner, so their failure taxonomy cannot diverge.
+/// blocks). Shared by the distributed drivers and the `tucker-api`
+/// planner, so their failure taxonomy cannot diverge.
 pub fn validate_grid(dims: &[usize], grid_dims: &[usize]) -> Result<(), ShapeError> {
     if grid_dims.len() != dims.len() {
         return Err(ShapeError::GridArity {

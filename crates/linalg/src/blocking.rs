@@ -26,8 +26,8 @@
 //! block-edge paths exercised on small inputs, and [`force_blocking`] lets
 //! one test binary compare blockings in-process.
 //!
-//! The factorization panel widths (`qr::QR_PANEL`, `eig::EIG_BLOCK`,
-//! `svd::SVD_BLOCK`) are deliberately **not** derived here: those change the
+//! The factorization panel widths (`qr::QR_PANEL`, `eig::EIG_BLOCK`)
+//! are deliberately **not** derived here: those change the
 //! factorization bits, so they are fixed constants pinned by the
 //! determinism contract, never autotuned.
 

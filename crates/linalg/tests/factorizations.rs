@@ -5,7 +5,7 @@
 //! restatements — on **every** SIMD tier, **every** `MC/KC/NC` blocking
 //! (including `TUCKER_BLOCK` overrides), and **every** thread count, for
 //! every input shape, including shapes that straddle the fixed panel widths
-//! (`QR_PANEL`, `EIG_BLOCK`, `SVD_BLOCK`) and shapes small enough to take
+//! (`QR_PANEL`, `EIG_BLOCK`) and shapes small enough to take
 //! the pre-blocking direct paths. This battery generates odd shapes around
 //! those edges, forces each supported `TUCKER_SIMD` tier in turn, re-runs
 //! under a shrunken blocking override, and requires bit equality throughout.
@@ -160,8 +160,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Blocked one-sided Jacobi SVD ≡ reference bitwise past the blocked
-    /// cutoff (the m/n jitter also exercises the transpose dispatch).
+    /// One-sided Jacobi SVD ≡ reference bitwise on square-to-tall shapes
+    /// around 200 columns.
     #[test]
     fn jacobi_svd_matches_reference_bitwise(
         m in 193usize..=216,

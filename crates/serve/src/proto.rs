@@ -200,7 +200,8 @@ pub struct ServeStats {
     pub protocol_errors: u64,
     /// Requests currently admitted (queued or executing).
     pub in_flight: u64,
-    /// Per-artifact shared-cache accounting, sorted by name.
+    /// Shared-cache accounting for every registered artifact, sorted by
+    /// name (zeros for an artifact no query has opened yet).
     pub artifacts: Vec<ArtifactStats>,
 }
 

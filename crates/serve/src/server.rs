@@ -67,7 +67,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tucker_exec::ExecContext;
-use tucker_store::{SharedChunkCache, TkrReader};
+use tucker_store::{ArtifactCacheStats, SharedChunkCache, TkrReader};
 
 /// How long a session sleeps between polls while waiting for a frame to
 /// start (also bounds shutdown latency).
@@ -277,6 +277,22 @@ pub fn serve(
     })
 }
 
+/// Cache accounting for every *registered* artifact, sorted by name. An
+/// artifact no query has opened yet has no cache slot and reports zeros, so
+/// the listing never depends on which artifacts happen to be open.
+fn artifact_cache_stats(shared: &Shared) -> Vec<(String, ArtifactCacheStats)> {
+    let registry = shared.registry.lock().unwrap_or_else(|e| e.into_inner());
+    let mut out: Vec<(String, ArtifactCacheStats)> = registry
+        .keys()
+        .map(|name| {
+            let stats = shared.cache.artifact_stats(name).unwrap_or_default();
+            (name.clone(), stats)
+        })
+        .collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
+}
+
 fn stats_snapshot(shared: &Shared) -> ServeStats {
     ServeStats {
         served: shared.served.load(Ordering::Relaxed),
@@ -284,9 +300,7 @@ fn stats_snapshot(shared: &Shared) -> ServeStats {
         shed_sessions: shared.shed.load(Ordering::Relaxed),
         protocol_errors: shared.proto_errors.load(Ordering::Relaxed),
         in_flight: shared.in_flight.load(Ordering::Relaxed) as u64,
-        artifacts: shared
-            .cache
-            .artifacts()
+        artifacts: artifact_cache_stats(shared)
             .into_iter()
             .map(|(name, s)| ArtifactStats {
                 name,
@@ -657,9 +671,7 @@ fn request_artifact(request: &Request) -> Option<&str> {
 fn metrics_exposition(shared: &Shared) -> String {
     use std::fmt::Write as _;
     let mut out = tucker_obs::metrics::render();
-    let mut artifacts = shared.cache.artifacts();
-    artifacts.sort_by(|a, b| a.0.cmp(&b.0));
-    for (name, s) in artifacts {
+    for (name, s) in artifact_cache_stats(shared) {
         let _ = writeln!(
             out,
             "gauge serve.artifact.{name}.decoded_chunks {}",

@@ -1,13 +1,9 @@
-//! Typed errors of the fallible (`try_*`) storage API.
+//! Typed errors of the storage API.
 //!
-//! The historical writer surface enforces its format contract with `assert!`
-//! — fine for a pipeline whose inputs were produced by this workspace, fatal
-//! for a service accepting artifacts and write requests from outside. The
-//! `try_*` twins ([`crate::TkrWriter::try_write_core_chunk`],
-//! [`crate::try_write_tucker`], …) validate the same contract and return a
-//! [`StoreError`] instead; the panicking/`io::Result` names are retained as
-//! thin wrappers so existing call sites keep compiling and keep their exact
-//! behavior.
+//! The writer ([`crate::TkrWriter::try_write_core_chunk`],
+//! [`crate::try_write_tucker_ctx`], …) validates the `.tkr` format contract
+//! and returns a [`StoreError`] on any violation, so a service accepting
+//! artifacts and write requests from outside never panics on bad input.
 //!
 //! This module is covered by the CI panic-grep gate: no `panic!`, `unwrap`,
 //! `expect`, or `assert` may appear here — every failure is a returned value.
@@ -182,19 +178,6 @@ pub enum StoreError {
     Io(io::Error),
 }
 
-impl StoreError {
-    /// Collapses into the historical `io::Error` surface: format and codec
-    /// violations become `InvalidData`, IO errors pass through unchanged —
-    /// exactly what the pre-`try_*` API reported.
-    pub fn into_io(self) -> io::Error {
-        match self {
-            StoreError::Io(e) => e,
-            StoreError::Format(e) => io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-            StoreError::Codec(e) => io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-        }
-    }
-}
-
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -237,15 +220,19 @@ impl From<io::Error> for StoreError {
 mod tests {
     use super::*;
 
+    /// Display names the violation; format and codec violations stay typed
+    /// (never collapse into IO), while IO errors pass through with their kind.
     #[test]
     fn display_and_into_io() {
         let e = StoreError::from(FormatError::MisalignedChunk { len: 3, stride: 4 });
         assert!(format!("{e}").contains("3 elements"));
-        assert_eq!(e.into_io().kind(), io::ErrorKind::InvalidData);
+        assert!(matches!(e, StoreError::Format(_)));
         let e = StoreError::from(CodecError::UnknownId(9));
-        assert_eq!(e.into_io().kind(), io::ErrorKind::InvalidData);
-        let io_err = StoreError::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
-        assert_eq!(io_err.into_io().kind(), io::ErrorKind::NotFound);
+        assert!(format!("{e}").contains("codec id 9"));
+        assert!(matches!(e, StoreError::Codec(CodecError::UnknownId(9))));
+        let e = StoreError::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
+        assert!(matches!(e, StoreError::Io(ref io) if io.kind() == io::ErrorKind::NotFound));
+        assert!(format!("{e}").contains("gone"));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! 12      4     reserved (0)
 //! 16      8     eps — the ε the decomposition was built with (f64)
 //! 24      8     quant_error_bound — relative reconstruction error added by
-//!               the codec (f64; patched by the writer at finish())
+//!               the codec (f64; patched by the writer at try_finish())
 //! 32      16·N  per mode: original dim I_n (u64), rank R_n (u64)
 //! ...           metadata: dataset label, mode labels, normalization stats
 //! ...           blocks: N factor blocks, then core chunks, then end marker
@@ -52,7 +52,7 @@ pub const MAX_CORE_ELEMS: u64 = 1 << 40;
 pub const MAGIC: &[u8; 4] = b"TKR1";
 /// Current format version.
 pub const VERSION: u16 = 1;
-/// Byte offset of the `quant_error_bound` field (patched at `finish()`).
+/// Byte offset of the `quant_error_bound` field (patched at `try_finish()`).
 pub const QUANT_BOUND_OFFSET: u64 = 24;
 
 /// Block tag: a factor matrix `U⁽ⁿ⁾`.
@@ -132,7 +132,7 @@ pub struct TkrHeader {
     /// Codec used for every factor and core block.
     pub codec: Codec,
     /// Relative reconstruction error added by the codec (first-order bound;
-    /// 0 until the writer's `finish()` patches it).
+    /// 0 until the writer's `try_finish()` patches it).
     pub quant_error_bound: f64,
     /// Provenance metadata.
     pub meta: TkrMetadata,
@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn quant_bound_offset_matches_layout() {
-        // The writer patches the bound in place at finish(); the constant must
+        // The writer patches the bound in place at try_finish(); the constant must
         // point at the field the reader parses.
         let mut h = sample_header();
         h.quant_error_bound = 0.0;

@@ -19,9 +19,10 @@
 //!    budget.
 //! 3. **Writer & query engine** ([`writer`], [`reader`], [`lazy`]) — a
 //!    streaming chunked [`TkrWriter`] (core serialized slab-by-slab, so
-//!    fields larger than memory stream through), [`compress_streaming`]
-//!    wiring the out-of-core ST-HOSVD straight into it,
-//!    [`gather_and_write`] for distributed output, and two readers:
+//!    fields larger than memory stream through) with
+//!    [`try_write_tucker_ctx`] for a whole decomposition (out-of-core and
+//!    distributed runs reach it through `tucker_api::Compressor`), and two
+//!    readers:
 //!    the eager [`TkrArtifact`] (core decoded at open) and the lazy
 //!    [`TkrReader`] (chunk directory at open, chunks decoded on demand
 //!    behind a bounded LRU cache) — both serving `reconstruct_range` /
@@ -32,17 +33,19 @@
 //!
 //! ```
 //! use tucker_core::prelude::*;
-//! use tucker_store::{Codec, StoreOptions, TkrArtifact, write_tucker};
+//! use tucker_store::{try_write_tucker_ctx, Codec, StoreOptions, TkrArtifact};
 //! use tucker_tensor::DenseTensor;
 //!
 //! let x = DenseTensor::from_fn(&[12, 10, 8], |idx| {
 //!     (0.3 * idx[0] as f64).sin() + (0.2 * idx[1] as f64 * idx[2] as f64).cos()
 //! });
 //! let eps = 1e-4;
-//! let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+//! let ctx = ExecContext::global();
+//! let result = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ctx);
 //!
 //! let path = std::env::temp_dir().join("tucker_store_doctest.tkr");
-//! let report = write_tucker(&path, &result.tucker, &StoreOptions::new(Codec::F32, eps)).unwrap();
+//! let opts = StoreOptions::new(Codec::F32, eps);
+//! let report = try_write_tucker_ctx(&path, &result.tucker, &opts, ctx).unwrap();
 //! assert!(report.quant_error_bound < eps);
 //!
 //! let artifact = TkrArtifact::open(&path).unwrap();
@@ -75,21 +78,19 @@ pub use lazy::{TkrReader, DEFAULT_CACHE_CHUNKS};
 pub use query::QueryError;
 pub use reader::TkrArtifact;
 pub use shared::{ArtifactCacheStats, CacheSession, SharedChunkCache};
-pub use writer::{
-    compress_streaming, gather_and_write, try_write_tucker, try_write_tucker_ctx, write_tucker,
-    write_tucker_ctx, EncodeReport, StoreOptions, TkrWriter,
-};
+pub use writer::{try_write_tucker_ctx, EncodeReport, StoreOptions, TkrWriter};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use tucker_core::dist::{dist_st_hosvd, DistTensor};
-    use tucker_core::sthosvd::{st_hosvd, SthosvdOptions};
+    use tucker_core::dist::{dist_st_hosvd_ctx, hybrid_ctx, DistTensor};
+    use tucker_core::sthosvd::{st_hosvd_ctx, SthosvdOptions};
     use tucker_core::TuckerTensor;
     use tucker_distmem::runtime::spmd_with_grid;
     use tucker_distmem::ProcGrid;
+    use tucker_exec::ExecContext;
     use tucker_tensor::{extract_subtensor, relative_error, DenseTensor, SubtensorSpec};
 
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -115,7 +116,11 @@ mod tests {
 
     fn compressed(dims: &[usize], eps: f64) -> (DenseTensor, TuckerTensor) {
         let x = wavy(dims);
-        let r = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let r = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         (x, r.tucker)
     }
 
@@ -123,7 +128,13 @@ mod tests {
     fn f64_round_trip_is_bit_exact() {
         let (_, t) = compressed(&[10, 9, 8], 1e-5);
         let path = temp_tkr("f64");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-5)).unwrap();
+        try_write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, 1e-5),
+            ExecContext::global(),
+        )
+        .unwrap();
         let artifact = TkrArtifact::open(&path).unwrap();
         assert_eq!(artifact.tucker(), &t);
         assert_eq!(artifact.header().quant_error_bound, 0.0);
@@ -136,7 +147,13 @@ mod tests {
         let (x, t) = compressed(&[12, 10, 8], eps);
         for codec in Codec::all() {
             let path = temp_tkr(codec.name());
-            let report = write_tucker(&path, &t, &StoreOptions::new(codec, eps)).unwrap();
+            let report = try_write_tucker_ctx(
+                &path,
+                &t,
+                &StoreOptions::new(codec, eps),
+                ExecContext::global(),
+            )
+            .unwrap();
             let artifact = TkrArtifact::open(&path).unwrap();
             let rec = artifact.reconstruct();
             let err = relative_error(&x, &rec);
@@ -158,11 +175,22 @@ mod tests {
     fn quantized_codecs_shrink_the_file() {
         // Fixed ranks so the payload dominates the fixed header overhead.
         let x = wavy(&[14, 12, 10]);
-        let t = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![8, 8, 8])).tucker;
+        let t = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![8, 8, 8]),
+            ExecContext::global(),
+        )
+        .tucker;
         let mut sizes = Vec::new();
         for codec in Codec::all() {
             let path = temp_tkr(&format!("size_{}", codec.name()));
-            let report = write_tucker(&path, &t, &StoreOptions::new(codec, 1e-4)).unwrap();
+            let report = try_write_tucker_ctx(
+                &path,
+                &t,
+                &StoreOptions::new(codec, 1e-4),
+                ExecContext::global(),
+            )
+            .unwrap();
             assert_eq!(report.bytes, std::fs::metadata(&path).unwrap().len());
             sizes.push(report.bytes);
             std::fs::remove_file(&path).ok();
@@ -179,7 +207,13 @@ mod tests {
         let (_, t) = compressed(&[12, 10, 8], 1e-4);
         for codec in Codec::all() {
             let path = temp_tkr(&format!("window_{}", codec.name()));
-            write_tucker(&path, &t, &StoreOptions::new(codec, 1e-4)).unwrap();
+            try_write_tucker_ctx(
+                &path,
+                &t,
+                &StoreOptions::new(codec, 1e-4),
+                ExecContext::global(),
+            )
+            .unwrap();
             let artifact = TkrArtifact::open(&path).unwrap();
             let full = artifact.reconstruct();
             let window = artifact
@@ -201,7 +235,13 @@ mod tests {
         let eps = 1e-5;
         let (x, t) = compressed(&[11, 9, 7], eps);
         let path = temp_tkr("queries");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, eps)).unwrap();
+        try_write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         let artifact = TkrArtifact::open(&path).unwrap();
         let slice = artifact.reconstruct_slice(1, 4).unwrap();
         assert_eq!(slice.dims(), &[11, 1, 7]);
@@ -220,7 +260,7 @@ mod tests {
         let (_, t) = compressed(&[9, 8, 10], 1e-4);
         let opts = StoreOptions::new(Codec::Q16, 1e-4);
         let one = temp_tkr("oneshot");
-        write_tucker(&one, &t, &opts).unwrap();
+        try_write_tucker_ctx(&one, &t, &opts, ExecContext::global()).unwrap();
 
         // Hand-driven streaming path: factors, then the core one last-mode
         // slab (one "timestep") at a time.
@@ -233,15 +273,15 @@ mod tests {
             quant_error_bound: 0.0,
             meta: TkrMetadata::default(),
         };
-        let mut w = TkrWriter::create(&streamed, header).unwrap();
+        let mut w = TkrWriter::try_create(&streamed, header).unwrap();
         for (n, u) in t.factors.iter().enumerate() {
-            w.write_factor(n, u).unwrap();
+            w.try_write_factor(n, u).unwrap();
         }
         let last = *t.core.dims().last().unwrap();
         for s in 0..last {
-            w.write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
+            w.try_write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
         }
-        w.finish().unwrap();
+        w.try_finish().unwrap();
 
         let a = TkrArtifact::open(&one).unwrap();
         let b = TkrArtifact::open(&streamed).unwrap();
@@ -260,22 +300,24 @@ mod tests {
         let dims = [8usize, 9, 6];
         let x = wavy(&dims);
         let eps = 1e-4;
-        let seq = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let seq = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         let seq_rec = seq.tucker.reconstruct();
 
         let path = temp_tkr("dist");
         let path2 = path.clone();
         let results = spmd_with_grid(ProcGrid::new(&[2, 2, 1]), move |comm| {
             let dx = DistTensor::from_global(&comm, &x);
-            let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_tolerance(eps));
-            gather_and_write(
-                &comm,
-                &r.tucker,
-                &path2,
-                &StoreOptions::new(Codec::F64, eps),
-            )
-            .unwrap()
-            .is_some()
+            let ctx = hybrid_ctx(&comm);
+            let r = dist_st_hosvd_ctx(&comm, &dx, &SthosvdOptions::with_tolerance(eps), &ctx);
+            let opts = StoreOptions::new(Codec::F64, eps);
+            r.tucker
+                .gather_to_root(&comm)
+                .map(|t| try_write_tucker_ctx(&path2, &t, &opts, &ctx).unwrap())
+                .is_some()
         });
         // Exactly rank 0 wrote the file.
         assert_eq!(results.iter().filter(|&&wrote| wrote).count(), 1);
@@ -293,10 +335,14 @@ mod tests {
         use tucker_scidata::DatasetPreset;
         let ds = DatasetPreset::Sp.generate(1, 42);
         let eps = 1e-2;
-        let r = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+        let r = st_hosvd_ctx(
+            &ds.data,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         let path = temp_tkr("meta");
         let opts = StoreOptions::new(Codec::F32, eps).with_meta(TkrMetadata::for_dataset(&ds));
-        write_tucker(&path, &r.tucker, &opts).unwrap();
+        try_write_tucker_ctx(&path, &r.tucker, &opts, ExecContext::global()).unwrap();
         let artifact = TkrArtifact::open(&path).unwrap();
         let meta = &artifact.header().meta;
         assert_eq!(meta.dataset, "SP");
@@ -322,15 +368,15 @@ mod tests {
                 quant_error_bound: 0.0,
                 meta: TkrMetadata::default(),
             };
-            let mut w = TkrWriter::create(&path, header).unwrap();
+            let mut w = TkrWriter::try_create(&path, header).unwrap();
             for (n, u) in t.factors.iter().enumerate() {
-                w.write_factor(n, u).unwrap();
+                w.try_write_factor(n, u).unwrap();
             }
             let last = *t.core.dims().last().unwrap();
             for s in 0..last {
-                w.write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
+                w.try_write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
             }
-            w.finish().unwrap();
+            w.try_finish().unwrap();
 
             let eager = TkrArtifact::open(&path).unwrap();
             let lazy = TkrReader::open_with(&path, 2, tucker_exec::ExecContext::global()).unwrap();
@@ -373,15 +419,15 @@ mod tests {
             quant_error_bound: 0.0,
             meta: TkrMetadata::default(),
         };
-        let mut w = TkrWriter::create(&path, header).unwrap();
+        let mut w = TkrWriter::try_create(&path, header).unwrap();
         for (n, u) in t.factors.iter().enumerate() {
-            w.write_factor(n, u).unwrap();
+            w.try_write_factor(n, u).unwrap();
         }
         let last = *t.core.dims().last().unwrap();
         for s in 0..last {
-            w.write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
+            w.try_write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
         }
-        w.finish().unwrap();
+        w.try_finish().unwrap();
 
         // Cache large enough for the whole core: a query decodes each chunk
         // exactly once and repeats are pure cache hits.
@@ -404,7 +450,13 @@ mod tests {
         use crate::query::QueryError;
         let (_, t) = compressed(&[6, 5, 4], 1e-3);
         let path = temp_tkr("typed_errors");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-3)).unwrap();
+        try_write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, 1e-3),
+            ExecContext::global(),
+        )
+        .unwrap();
         let eager = TkrArtifact::open(&path).unwrap();
         let lazy = TkrReader::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -507,7 +559,13 @@ mod tests {
         let eps = 1e-4;
         let (x, t) = compressed(&[12, 10, 8], eps);
         let path = temp_tkr("batched");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, eps)).unwrap();
+        try_write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         let artifact = TkrArtifact::open(&path).unwrap();
         let lazy = TkrReader::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -545,7 +603,13 @@ mod tests {
         // must fail with InvalidData, not attempt a half-terabyte allocation.
         let (_, t) = compressed(&[6, 6, 6], 1e-3);
         let path = temp_tkr("absurd_core");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-3)).unwrap();
+        try_write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, 1e-3),
+            ExecContext::global(),
+        )
+        .unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let big = (1u64 << 12).to_le_bytes();
         for n in 0..3 {
@@ -605,12 +669,13 @@ mod tests {
                 quant_error_bound: 0.0,
                 meta: TkrMetadata::default(),
             };
-            let mut w = TkrWriter::new(f, header).unwrap();
+            let mut w = TkrWriter::try_new(f, header).unwrap();
             for (n, u) in t.factors.iter().enumerate() {
-                w.write_factor(n, u).unwrap();
+                w.try_write_factor(n, u).unwrap();
             }
-            w.write_core_chunk(t.core.last_mode_slab(0, last)).unwrap();
-            let report = w.finish().unwrap();
+            w.try_write_core_chunk(t.core.last_mode_slab(0, last))
+                .unwrap();
+            let report = w.try_finish().unwrap();
             assert!(report.quant_error_bound > 0.0);
         }
         let bytes = std::fs::read(&path).unwrap();
@@ -629,13 +694,14 @@ mod tests {
             mode_labels: vec!["only one".into()],
             normalization: None,
         };
-        let err = write_tucker(
+        let err = try_write_tucker_ctx(
             &path,
             &t,
             &StoreOptions::new(Codec::F64, 1e-3).with_meta(meta),
+            ExecContext::global(),
         )
         .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(matches!(err, StoreError::Format(_)), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -643,7 +709,13 @@ mod tests {
     fn truncated_file_is_rejected() {
         let (_, t) = compressed(&[6, 6, 6], 1e-3);
         let path = temp_tkr("trunc");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-3)).unwrap();
+        try_write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, 1e-3),
+            ExecContext::global(),
+        )
+        .unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 20]).unwrap();
         assert!(TkrArtifact::open(&path).is_err());
@@ -651,7 +723,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "CoreIncomplete")]
     fn writer_rejects_incomplete_core() {
         let (_, t) = compressed(&[6, 6, 6], 1e-3);
         let path = temp_tkr("incomplete");
@@ -663,14 +735,14 @@ mod tests {
             quant_error_bound: 0.0,
             meta: TkrMetadata::default(),
         };
-        let mut w = TkrWriter::create(&path, header).unwrap();
+        let mut w = TkrWriter::try_create(&path, header).unwrap();
         for (n, u) in t.factors.iter().enumerate() {
-            w.write_factor(n, u).unwrap();
+            w.try_write_factor(n, u).unwrap();
         }
-        // Only one slab of the core written: finish() must panic.
-        let r = w.write_core_chunk(t.core.last_mode_slab(0, 1));
-        r.unwrap();
-        let _ = w.finish();
+        // Only one slab of the core written: finishing is a typed
+        // `CoreIncomplete` error.
+        w.try_write_core_chunk(t.core.last_mode_slab(0, 1)).unwrap();
+        w.try_finish().unwrap();
     }
 
     /// Writes `t` one last-mode slab per chunk (the multi-chunk layout the
@@ -685,15 +757,15 @@ mod tests {
             quant_error_bound: 0.0,
             meta: TkrMetadata::default(),
         };
-        let mut w = TkrWriter::create(&path, header).unwrap();
+        let mut w = TkrWriter::try_create(&path, header).unwrap();
         for (n, u) in t.factors.iter().enumerate() {
-            w.write_factor(n, u).unwrap();
+            w.try_write_factor(n, u).unwrap();
         }
         let last = *t.core.dims().last().unwrap();
         for s in 0..last {
-            w.write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
+            w.try_write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
         }
-        w.finish().unwrap();
+        w.try_finish().unwrap();
         path
     }
 

@@ -53,8 +53,9 @@ static CACHE_HITS: Counter = Counter::new("store.cache.hits");
 static CACHE_DECODES: Counter = Counter::new("store.cache.decodes");
 static CACHE_EVICTIONS: Counter = Counter::new("store.cache.evictions");
 
-/// A point-in-time snapshot of one artifact's cache accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A point-in-time snapshot of one artifact's cache accounting (all zero
+/// for a key nothing has been decoded under yet).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArtifactCacheStats {
     /// Cumulative chunk decodes charged to this artifact (every insert is
     /// one decode; duplicate decodes under cross-session races count).

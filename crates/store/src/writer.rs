@@ -1,18 +1,22 @@
-//! Streaming `.tkr` writer and the distributed gather-and-write path.
+//! Streaming `.tkr` writer.
 //!
 //! [`TkrWriter`] is deliberately incremental: the header goes out first, then
 //! factor blocks, then the core **chunk by chunk** (whole last-mode slabs, e.g.
 //! one timestep at a time), then an end marker. Nothing requires the whole
 //! core in memory at once, so a decomposition whose core is produced
 //! timestep-by-timestep — or gathered piecewise from a distributed run — can
-//! be serialized as it arrives. [`write_tucker`] is the convenience wrapper
-//! for an in-memory [`TuckerTensor`]; [`gather_and_write`] funnels a
-//! [`DistTucker`] from any processor grid into the same byte-identical
-//! format.
+//! be serialized as it arrives. [`try_write_tucker_ctx`] is the convenience
+//! wrapper for an in-memory [`TuckerTensor`]; a distributed decomposition is
+//! written the same way after `DistTucker::gather_to_root`, so every
+//! pipeline produces the same bytes.
+//!
+//! Every operation is fallible: a contract violation is a typed
+//! [`StoreError`], never a panic (this module is covered by the CI
+//! panic-grep gate).
 //!
 //! The writer tracks the exact squared error every quantized block
 //! introduces and patches a first-order **relative reconstruction error
-//! bound** into the header at [`TkrWriter::finish`]:
+//! bound** into the header at [`TkrWriter::try_finish`]:
 //!
 //! ```text
 //! ‖ΔX̃‖/‖X̃‖ ≲ ‖ΔG‖_F/‖G‖_F + Σ_n ‖ΔU⁽ⁿ⁾‖_F
@@ -30,18 +34,14 @@ use crate::format::{
     TAG_FACTOR,
 };
 use std::fs::File;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
-use tucker_core::dist::DistTucker;
-use tucker_core::sthosvd::{SthosvdOptions, SthosvdResult};
-use tucker_core::streaming::{st_hosvd_streaming_ctx, StreamingOptions};
 use tucker_core::TuckerTensor;
-use tucker_distmem::Communicator;
 use tucker_exec::ExecContext;
 use tucker_linalg::Matrix;
-use tucker_tensor::{DenseTensor, SlabSource};
+use tucker_tensor::DenseTensor;
 
-/// Target elements per core chunk used by [`write_tucker`] (whole slabs are
+/// Target elements per core chunk used by [`try_write_tucker_ctx`] (whole slabs are
 /// never split, so actual chunks may be larger when one slab exceeds this).
 const CHUNK_TARGET_ELEMS: usize = 1 << 16;
 
@@ -167,18 +167,12 @@ fn validate_header(header: &TkrHeader) -> Result<(), FormatError> {
 }
 
 impl TkrWriter<BufWriter<File>> {
-    /// Creates the file and writes the header (with a zero quantization bound,
-    /// patched at [`TkrWriter::finish`]).
-    pub fn create(path: impl AsRef<Path>, header: TkrHeader) -> io::Result<Self> {
-        TkrWriter::try_create(path, header).map_err(StoreError::into_io)
-    }
-
-    /// Fallible [`TkrWriter::create`]: a structurally invalid header (zero
-    /// extents or ranks, rank exceeding a mode) is a typed
-    /// [`FormatError`](crate::FormatError) instead of an opaque
-    /// `InvalidData`. The header is validated **before** the file is
-    /// created, so a rejected request never truncates an existing artifact
-    /// at `path`.
+    /// Creates the file and writes the header (with a zero quantization
+    /// bound, patched at [`TkrWriter::try_finish`]). A structurally invalid
+    /// header (zero extents or ranks, rank exceeding a mode) is a typed
+    /// [`FormatError`]. The header is validated
+    /// **before** the file is created, so a rejected request never truncates
+    /// an existing artifact at `path`.
     pub fn try_create(path: impl AsRef<Path>, header: TkrHeader) -> Result<Self, StoreError> {
         validate_header(&header)?;
         let file = File::create(path)?;
@@ -190,11 +184,7 @@ impl<W: Write + Seek> TkrWriter<W> {
     /// Wraps an arbitrary seekable sink and writes the header at the sink's
     /// **current** position (so a `.tkr` section can be embedded into a
     /// larger container; the finish-time patch is relative to that base).
-    pub fn new(w: W, header: TkrHeader) -> io::Result<Self> {
-        TkrWriter::try_new(w, header).map_err(StoreError::into_io)
-    }
-
-    /// Fallible [`TkrWriter::new`]; see [`TkrWriter::try_create`].
+    /// Validates like [`TkrWriter::try_create`].
     pub fn try_new(mut w: W, mut header: TkrHeader) -> Result<Self, StoreError> {
         validate_header(&header)?;
         let base = w.stream_position()?;
@@ -221,22 +211,9 @@ impl<W: Write + Seek> TkrWriter<W> {
     }
 
     /// Writes the factor matrix of `mode` (`I_n × R_n`), one codec block per
-    /// column so quantization scales adapt per column.
-    ///
-    /// # Panics
-    /// Panics if the mode was already written or the shape disagrees with the
-    /// header; use [`TkrWriter::try_write_factor`] for a typed error.
-    pub fn write_factor(&mut self, mode: usize, u: &Matrix) -> io::Result<()> {
-        match self.try_write_factor(mode, u) {
-            Ok(()) => Ok(()),
-            Err(StoreError::Io(e)) => Err(e),
-            Err(e) => panic!("write_factor: {e}"),
-        }
-    }
-
-    /// Fallible [`TkrWriter::write_factor`]: a factor for an out-of-range
-    /// mode, a mode written twice, or a shape disagreeing with the header is
-    /// a typed [`FormatError`](crate::FormatError) instead of a panic.
+    /// column so quantization scales adapt per column. A factor for an
+    /// out-of-range mode, a mode written twice, or a shape disagreeing with
+    /// the header is a typed [`FormatError`].
     pub fn try_write_factor(&mut self, mode: usize, u: &Matrix) -> Result<(), StoreError> {
         if mode >= self.header.ndims() {
             return Err(FormatError::ModeOutOfRange {
@@ -276,24 +253,10 @@ impl<W: Write + Seek> TkrWriter<W> {
 
     /// Appends the next run of whole last-mode core slabs (natural order).
     /// Chunks must arrive in order and cover the core exactly by
-    /// [`TkrWriter::finish`] time.
-    ///
-    /// # Panics
-    /// Panics if the chunk is not a positive multiple of the slab stride or
-    /// overruns the core; use [`TkrWriter::try_write_core_chunk`] for a
-    /// typed error.
-    pub fn write_core_chunk(&mut self, slab: &[f64]) -> io::Result<()> {
-        match self.try_write_core_chunk(slab) {
-            Ok(()) => Ok(()),
-            Err(StoreError::Io(e)) => Err(e),
-            Err(e) => panic!("write_core_chunk: {e}"),
-        }
-    }
-
-    /// Fallible [`TkrWriter::write_core_chunk`]: a zero-size chunk, a chunk
-    /// that is not a whole number of last-mode slabs, or a chunk overrunning
-    /// the declared core is a typed [`FormatError`](crate::FormatError)
-    /// instead of a panic. Nothing is written when the chunk is rejected.
+    /// [`TkrWriter::try_finish`] time. A zero-size chunk, a chunk that is not
+    /// a whole number of last-mode slabs, or a chunk overrunning the
+    /// declared core is a typed [`FormatError`]; nothing
+    /// is written when the chunk is rejected.
     pub fn try_write_core_chunk(&mut self, slab: &[f64]) -> Result<(), StoreError> {
         self.validate_chunk(self.core_elems_written, slab)?;
         let mut block = Vec::new();
@@ -331,30 +294,16 @@ impl<W: Write + Seek> TkrWriter<W> {
 
     /// Writes a run of core chunks, encoding their payloads **in parallel**
     /// on `ctx` before streaming them out in order. Byte-for-byte identical
-    /// to calling [`TkrWriter::write_core_chunk`] on each chunk in turn (the
-    /// framing, the per-block quantization scales, and the error accounting
-    /// all depend only on per-chunk data and the fixed chunk order).
+    /// to calling [`TkrWriter::try_write_core_chunk`] on each chunk in turn
+    /// (the framing, the per-block quantization scales, and the error
+    /// accounting all depend only on per-chunk data and the fixed chunk
+    /// order). Every chunk is validated up front with the same rules, so a
+    /// bad chunk cannot leave earlier ones written.
     ///
     /// Encoding proceeds in bounded **waves** of a few chunks per pool
     /// thread, each wave written out before the next is encoded — peak
     /// memory stays at a handful of encoded chunks, preserving the streaming
     /// rationale of this writer even for cores much larger than RAM headroom.
-    pub fn write_core_chunks_ctx(
-        &mut self,
-        chunks: &[&[f64]],
-        ctx: &ExecContext,
-    ) -> io::Result<()> {
-        match self.try_write_core_chunks_ctx(chunks, ctx) {
-            Ok(()) => Ok(()),
-            Err(StoreError::Io(e)) => Err(e),
-            Err(e) => panic!("write_core_chunk: {e}"),
-        }
-    }
-
-    /// Fallible [`TkrWriter::write_core_chunks_ctx`]: every chunk is
-    /// validated up front with the same rules as
-    /// [`TkrWriter::try_write_core_chunk`], so a bad chunk cannot leave
-    /// earlier ones written.
     pub fn try_write_core_chunks_ctx(
         &mut self,
         chunks: &[&[f64]],
@@ -376,26 +325,26 @@ impl<W: Write + Seek> TkrWriter<W> {
             let batch_starts = &starts[base..base + batch.len()];
 
             // Encode this wave's framed blocks off-stream; one slot per chunk.
-            let mut encoded: Vec<(Vec<u8>, f64, f64)> =
-                batch.iter().map(|_| Default::default()).collect();
+            let mut encoded: Vec<std::io::Result<(Vec<u8>, f64, f64)>> =
+                batch.iter().map(|_| Ok(Default::default())).collect();
             ctx.for_each_slot(&mut encoded, |i, slot| {
                 let slab = batch[i];
                 let mut block = Vec::with_capacity(17 + codec.block_bytes(slab.len()));
                 block.push(TAG_CORE_CHUNK);
-                write_u64(&mut block, batch_starts[i] as u64).expect("Vec write is infallible");
-                write_u64(&mut block, slab.len() as u64).expect("Vec write is infallible");
-                let sq_err = codec
-                    .encode_block(&mut block, slab)
-                    .expect("Vec write is infallible");
+                block.extend_from_slice(&(batch_starts[i] as u64).to_le_bytes());
+                block.extend_from_slice(&(slab.len() as u64).to_le_bytes());
                 let norm_sq = slab.iter().map(|&v| v * v).sum::<f64>();
-                *slot = (block, sq_err, norm_sq);
+                *slot = codec
+                    .encode_block(&mut block, slab)
+                    .map(|sq_err| (block, sq_err, norm_sq));
             });
 
             // Stream the wave and fold the accounting in chunk order, so the
             // on-disk bytes and the accumulated error sums match the
             // sequential path exactly.
-            for ((block, sq_err, norm_sq), slab) in encoded.iter().zip(batch) {
-                self.w.write_all(block)?;
+            for (slot, slab) in encoded.into_iter().zip(batch) {
+                let (block, sq_err, norm_sq) = slot?;
+                self.w.write_all(&block)?;
                 self.bytes += block.len() as u64;
                 self.core_sq_err += sq_err;
                 self.core_norm_sq += norm_sq;
@@ -407,22 +356,9 @@ impl<W: Write + Seek> TkrWriter<W> {
     }
 
     /// Writes the end marker, patches the quantization-error bound into the
-    /// header, flushes, and reports what was encoded.
-    ///
-    /// # Panics
-    /// Panics if a factor is missing or the core is incomplete; use
-    /// [`TkrWriter::try_finish`] for a typed error.
-    pub fn finish(self) -> io::Result<EncodeReport> {
-        match self.try_finish() {
-            Ok(r) => Ok(r),
-            Err(StoreError::Io(e)) => Err(e),
-            Err(e) => panic!("finish: {e}"),
-        }
-    }
-
-    /// Fallible [`TkrWriter::finish`]: a missing factor or an incomplete
-    /// core is a typed [`FormatError`](crate::FormatError) instead of a
-    /// panic (and the end marker is not written).
+    /// header, flushes, and reports what was encoded. A missing factor or an
+    /// incomplete core is a typed [`FormatError`] (and
+    /// the end marker is not written).
     pub fn try_finish(mut self) -> Result<EncodeReport, StoreError> {
         for (n, &written) in self.factor_written.iter().enumerate() {
             if !written {
@@ -473,39 +409,11 @@ impl<W: Write + Seek> TkrWriter<W> {
 }
 
 /// Writes an in-memory Tucker decomposition to `path`, streaming the core in
-/// bounded chunks of whole last-mode slabs (encoded on the global pool).
-pub fn write_tucker(
-    path: impl AsRef<Path>,
-    t: &TuckerTensor,
-    opts: &StoreOptions,
-) -> io::Result<EncodeReport> {
-    write_tucker_ctx(path, t, opts, ExecContext::global())
-}
-
-/// [`write_tucker`] on an explicit execution context: core chunks are
-/// codec-encoded in parallel, then written in order — the produced file is
-/// byte-identical for every thread count.
-pub fn write_tucker_ctx(
-    path: impl AsRef<Path>,
-    t: &TuckerTensor,
-    opts: &StoreOptions,
-    ctx: &ExecContext,
-) -> io::Result<EncodeReport> {
-    try_write_tucker_ctx(path, t, opts, ctx).map_err(StoreError::into_io)
-}
-
-/// Fallible [`write_tucker`]: a degenerate decomposition (zero extents or
-/// ranks) or inconsistent metadata is a typed
-/// [`StoreError`](crate::StoreError) instead of an opaque `InvalidData`.
-pub fn try_write_tucker(
-    path: impl AsRef<Path>,
-    t: &TuckerTensor,
-    opts: &StoreOptions,
-) -> Result<EncodeReport, StoreError> {
-    try_write_tucker_ctx(path, t, opts, ExecContext::global())
-}
-
-/// Fallible [`write_tucker_ctx`]; see [`try_write_tucker`].
+/// bounded chunks of whole last-mode slabs. Core chunks are codec-encoded in
+/// parallel on `ctx`, then written in order — the produced file is
+/// byte-identical for every thread count. A degenerate decomposition (zero
+/// extents or ranks) or inconsistent metadata is a typed
+/// [`StoreError`].
 pub fn try_write_tucker_ctx(
     path: impl AsRef<Path>,
     t: &TuckerTensor,
@@ -530,11 +438,11 @@ pub fn try_write_tucker_ctx(
 
 /// Groups a core into runs of whole last-mode slabs of about
 /// [`CHUNK_TARGET_ELEMS`] elements — the chunking policy of
-/// [`write_tucker_ctx`] (and therefore of [`compress_streaming`], which
-/// serializes through it).
+/// [`try_write_tucker_ctx`].
 fn core_slab_chunks(core: &DenseTensor) -> Vec<&[f64]> {
     let stride = core.last_mode_stride().max(1);
-    let last = *core.dims().last().expect("core has at least one mode");
+    // A zero-mode core never gets here: its header was rejected first.
+    let last = core.dims().last().copied().unwrap_or(0);
     let slabs_per_chunk = (CHUNK_TARGET_ELEMS / stride).max(1);
     let mut chunks = Vec::with_capacity(last.div_ceil(slabs_per_chunk));
     let mut s = 0;
@@ -544,43 +452,4 @@ fn core_slab_chunks(core: &DenseTensor) -> Vec<&[f64]> {
         s += len;
     }
     chunks
-}
-
-/// The out-of-core compression pipeline end to end: streams `src` through
-/// the two-phase [`st_hosvd_streaming_ctx`] (peak memory `O(slab +
-/// truncated tensor)` — the full tensor is never resident) and writes the
-/// resulting decomposition to `path`, core slabs chunked straight into the
-/// [`TkrWriter`].
-///
-/// The artifact is **byte-identical** to materializing the source, running
-/// `st_hosvd_ctx`, and calling [`write_tucker_ctx`] — the decomposition is
-/// bit-identical, and serialization *is* `write_tucker_ctx` — for every
-/// slab width and thread count (pinned in `tests/streaming.rs`).
-pub fn compress_streaming(
-    path: impl AsRef<Path>,
-    src: &impl SlabSource,
-    sth: &SthosvdOptions,
-    stream: &StreamingOptions,
-    opts: &StoreOptions,
-    ctx: &ExecContext,
-) -> io::Result<(SthosvdResult, EncodeReport)> {
-    let result = st_hosvd_streaming_ctx(src, sth, stream, ctx);
-    let report = write_tucker_ctx(path, &result.tucker, opts, ctx)?;
-    Ok((result, report))
-}
-
-/// Distributed export (the paper's Sec. VI output step): gathers the
-/// block-distributed core of a [`DistTucker`] onto rank 0 and writes the same
-/// `.tkr` artifact a sequential run would produce. Every rank must call this;
-/// rank 0 returns the report, all others `Ok(None)`.
-pub fn gather_and_write(
-    comm: &Communicator,
-    t: &DistTucker,
-    path: impl AsRef<Path>,
-    opts: &StoreOptions,
-) -> io::Result<Option<EncodeReport>> {
-    match t.gather_to_root(comm) {
-        Some(tucker) => write_tucker(path, &tucker, opts).map(Some),
-        None => Ok(None),
-    }
 }

@@ -379,7 +379,7 @@ mod tests {
     fn slab_accumulation_is_bit_identical_for_every_width() {
         // Accumulating the Gram slab by slab (any slab width, any thread
         // count) must reproduce the full-tensor Gram *bitwise* for every
-        // non-last mode — the contract `st_hosvd_streaming` is built on.
+        // non-last mode — the contract `st_hosvd_streaming_ctx` is built on.
         let mut rng = StdRng::seed_from_u64(68);
         // Large enough that mode 0 clears the parallel GEMM threshold.
         let dims = [19usize, 7, 5, 23];

@@ -6,8 +6,8 @@
 //! with ε-driven rank selection (Alg. 1), HOOI refinement (Alg. 2), and
 //! partial reconstruction from the compressed form (eq. (1), Sec. II-C).
 //! Everything goes through [`Compressor`]: the builder validates the inputs
-//! and dispatches to the exact same kernels the lower-level `st_hosvd` /
-//! `hooi` calls would run, bit for bit.
+//! and dispatches to the exact same kernels the lower-level `st_hosvd_ctx` /
+//! `hooi_ctx` calls would run, bit for bit.
 //!
 //! Run with:
 //! ```text

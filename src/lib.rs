@@ -60,8 +60,7 @@ pub mod prelude {
         TensorQuery, TuckerError, Written,
     };
     pub use tucker_core::dist::{
-        dist_hooi, dist_reconstruct, dist_st_hosvd, try_dist_hooi, try_dist_st_hosvd, DistTensor,
-        DistTucker,
+        dist_hooi_ctx, dist_reconstruct_ctx, dist_st_hosvd_ctx, hybrid_ctx, DistTensor, DistTucker,
     };
     pub use tucker_core::prelude::*;
     pub use tucker_distmem::{
@@ -76,8 +75,8 @@ pub mod prelude {
     pub use tucker_scidata::{DatasetPreset, NoisyLowRank, SpectralDecay};
     pub use tucker_serve::{serve, ServeClient, ServeConfig, ServerHandle};
     pub use tucker_store::{
-        gather_and_write, try_write_tucker, write_tucker, Codec, SharedChunkCache, StoreOptions,
-        TkrArtifact, TkrMetadata, TkrReader,
+        try_write_tucker_ctx, Codec, SharedChunkCache, StoreOptions, TkrArtifact, TkrMetadata,
+        TkrReader,
     };
     pub use tucker_tensor::{
         normalized_rms_error, DenseTensor, SlabSource, SubtensorSpec, TtmTranspose,
@@ -91,7 +90,11 @@ mod tests {
     #[test]
     fn facade_reexports_work_together() {
         let x = DenseTensor::from_fn(&[8, 7, 6], |idx| (idx[0] + idx[1] * idx[2]) as f64);
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3));
+        let result = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(1e-3),
+            ExecContext::global(),
+        );
         let rec = result.tucker.reconstruct();
         assert!(normalized_rms_error(&x, &rec) <= 1e-3);
     }
@@ -99,7 +102,11 @@ mod tests {
     #[test]
     fn builder_facade_matches_direct_call() {
         let x = DenseTensor::from_fn(&[8, 7, 6], |idx| (idx[0] + idx[1] * idx[2]) as f64);
-        let direct = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3));
+        let direct = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(1e-3),
+            ExecContext::global(),
+        );
         let built = Compressor::new(&x)
             .tolerance(1e-3)
             .run()

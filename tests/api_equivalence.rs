@@ -4,8 +4,9 @@
 //!   tolerance / fixed-ranks, with and without HOOI refinement — is
 //!   **bit-identical** to the corresponding direct-call pipeline;
 //! * `CompressionPlan::write_to` produces artifacts **byte-identical** to
-//!   the direct `write_tucker` / `compress_streaming` / `gather_and_write`
-//!   pipelines, for every codec (f64 / f32 / q16);
+//!   the direct pipelines — driver, then `try_write_tucker_ctx` (after
+//!   `gather_to_root` for a distributed run) — for every codec
+//!   (f64 / f32 / q16);
 //! * the eager and lazy `TensorQuery` backends answer every query shape
 //!   byte-for-byte identically, through generic code that cannot tell them
 //!   apart;
@@ -17,15 +18,14 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tucker_api::{Compressor, KernelPath, Open, PlanError, Refine, TensorQuery, TuckerError};
-use tucker_core::dist::{dist_hooi, dist_st_hosvd, DistTensor};
+use tucker_core::dist::{dist_hooi_ctx, dist_st_hosvd_ctx, hybrid_ctx, DistTensor};
 use tucker_core::prelude::*;
 use tucker_core::validate::{RankError, ShapeError};
 use tucker_distmem::runtime::spmd_with_grid;
 use tucker_distmem::ProcGrid;
 use tucker_exec::ExecContext;
 use tucker_store::{
-    compress_streaming, gather_and_write, write_tucker, Codec, FormatError, StoreOptions,
-    TkrHeader, TkrMetadata, TkrWriter,
+    try_write_tucker_ctx, Codec, FormatError, StoreOptions, TkrHeader, TkrMetadata, TkrWriter,
 };
 use tucker_tensor::DenseTensor;
 
@@ -105,30 +105,30 @@ fn query_fingerprint(q: &impl TensorQuery) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// In-memory path, tolerance-driven: facade ≡ `st_hosvd`, bitwise.
+    /// In-memory path, tolerance-driven: facade ≡ `st_hosvd_ctx`, bitwise.
     #[test]
     fn in_memory_tolerance_matches_direct(x in arbitrary_tensor()) {
-        let direct = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.2));
+        let direct = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(0.2), ExecContext::global());
         let facade = Compressor::new(&x).tolerance(0.2).run().expect("valid plan");
         assert_eq!(facade.kernel(), KernelPath::InMemory);
         assert_sthosvd_bits(&facade, &direct, "in-memory tolerance");
     }
 
-    /// In-memory path, fixed ranks: facade ≡ `st_hosvd`, bitwise.
+    /// In-memory path, fixed ranks: facade ≡ `st_hosvd_ctx`, bitwise.
     #[test]
     fn in_memory_fixed_ranks_matches_direct(x in arbitrary_tensor()) {
         let ranks: Vec<usize> = x.dims().iter().map(|&d| d.min(3)).collect();
-        let direct = st_hosvd(&x, &SthosvdOptions::with_ranks(ranks.clone()));
+        let direct = st_hosvd_ctx(&x, &SthosvdOptions::with_ranks(ranks.clone()), ExecContext::global());
         let facade = Compressor::new(&x).ranks(ranks).run().expect("valid plan");
         assert_sthosvd_bits(&facade, &direct, "in-memory fixed ranks");
     }
 
-    /// Refined path: facade `.refine(..)` ≡ `hooi`, bitwise, including the
+    /// Refined path: facade `.refine(..)` ≡ `hooi_ctx`, bitwise, including the
     /// fit history.
     #[test]
     fn refined_matches_direct_hooi(x in arbitrary_tensor()) {
         let ranks: Vec<usize> = x.dims().iter().map(|&d| d.min(2)).collect();
-        let direct = hooi(&x, &HooiOptions::with_ranks(ranks.clone(), 2));
+        let direct = hooi_ctx(&x, &HooiOptions::with_ranks(ranks.clone(), 2), ExecContext::global());
         let facade = Compressor::new(&x)
             .ranks(ranks)
             .refine(Refine::sweeps(2))
@@ -142,11 +142,11 @@ proptest! {
         assert_tucker_bits(&h.tucker, &direct.tucker, "hooi");
     }
 
-    /// Streaming path across slab widths: facade ≡ `st_hosvd_streaming`
-    /// ≡ `st_hosvd`, bitwise.
+    /// Streaming path across slab widths: facade ≡ `st_hosvd_streaming_ctx`
+    /// ≡ `st_hosvd_ctx`, bitwise.
     #[test]
     fn streaming_matches_direct(x in arbitrary_tensor()) {
-        let in_memory = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.2));
+        let in_memory = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(0.2), ExecContext::global());
         let last = *x.dims().last().unwrap();
         for width in [1usize, 3, last] {
             let facade = Compressor::from_slabs(&x)
@@ -159,7 +159,7 @@ proptest! {
         }
     }
 
-    /// Distributed path on a 2×1×…grid: facade ≡ `dist_st_hosvd` + gather,
+    /// Distributed path on a 2×1×…grid: facade ≡ `dist_st_hosvd_ctx` + gather,
     /// bitwise, for tolerance and fixed-rank selection.
     #[test]
     fn distributed_matches_direct(x in arbitrary_tensor()) {
@@ -171,7 +171,7 @@ proptest! {
             let sel2 = sel.clone();
             let direct = spmd_with_grid(ProcGrid::new(&grid_shape), move |comm| {
                 let dx = DistTensor::from_global(&comm, &x2);
-                let r = dist_st_hosvd(&comm, &dx, &sel2);
+                let r = dist_st_hosvd_ctx(&comm, &dx, &sel2, &hybrid_ctx(&comm));
                 r.tucker.gather_to_root(&comm).map(|t| (t, r.ranks))
             })
             .into_iter()
@@ -193,15 +193,15 @@ proptest! {
     }
 
     /// The write sink, all three codecs: facade artifacts are byte-identical
-    /// to `write_tucker` on the direct decomposition — and, for the
-    /// streaming source, to the `compress_streaming` pipeline.
+    /// to `try_write_tucker_ctx` on the direct decomposition — and, for the
+    /// streaming source, on the direct streaming decomposition.
     #[test]
     fn write_to_is_byte_identical_for_every_codec(x in arbitrary_tensor()) {
         let eps = 1e-2;
-        let direct = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let direct = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ExecContext::global());
         for codec in Codec::all() {
             let direct_path = temp_tkr(&format!("direct_{}", codec.name()));
-            write_tucker(&direct_path, &direct.tucker, &StoreOptions::new(codec, eps)).unwrap();
+            try_write_tucker_ctx(&direct_path, &direct.tucker, &StoreOptions::new(codec, eps), ExecContext::global()).unwrap();
 
             let facade_path = temp_tkr(&format!("facade_{}", codec.name()));
             let written = Compressor::new(&x)
@@ -215,14 +215,18 @@ proptest! {
             assert_eq!(direct_bytes, facade_bytes, "{}: artifact bytes", codec.name());
             assert_eq!(written.report.bytes as usize, facade_bytes.len());
 
-            // Streaming source → same bytes again (compress_streaming is the
-            // direct-call equivalent).
+            // Streaming source → same bytes again (the streaming driver and
+            // the writer are the direct-call equivalent).
             let stream_path = temp_tkr(&format!("stream_{}", codec.name()));
-            let (_, report) = compress_streaming(
-                &stream_path,
+            let streamed = st_hosvd_streaming_ctx(
                 &x,
                 &SthosvdOptions::with_tolerance(eps),
                 &StreamingOptions::with_slab_width(2),
+                ExecContext::global(),
+            );
+            let report = try_write_tucker_ctx(
+                &stream_path,
+                &streamed.tucker,
                 &StoreOptions::new(codec, eps),
                 ExecContext::global(),
             )
@@ -297,7 +301,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Distributed write sink: facade bytes ≡ gather_and_write bytes.
+// Distributed write sink: facade bytes ≡ gather-to-root-then-write bytes.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -313,8 +317,16 @@ fn distributed_write_matches_gather_and_write() {
     let x2 = x.clone();
     spmd_with_grid(ProcGrid::new(&grid_shape), move |comm| {
         let dx = DistTensor::from_global(&comm, &x2);
-        let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_tolerance(eps));
-        gather_and_write(&comm, &r.tucker, &p2, &StoreOptions::new(Codec::Q16, eps)).unwrap();
+        let r = dist_st_hosvd_ctx(
+            &comm,
+            &dx,
+            &SthosvdOptions::with_tolerance(eps),
+            &hybrid_ctx(&comm),
+        );
+        if let Some(t) = r.tucker.gather_to_root(&comm) {
+            let opts = StoreOptions::new(Codec::Q16, eps);
+            try_write_tucker_ctx(&p2, &t, &opts, ExecContext::global()).unwrap();
+        }
     });
 
     let facade_path = temp_tkr("gather_facade");
@@ -327,7 +339,7 @@ fn distributed_write_matches_gather_and_write() {
     assert_eq!(
         std::fs::read(&direct_path).unwrap(),
         std::fs::read(&facade_path).unwrap(),
-        "distributed artifact bytes differ from gather_and_write"
+        "distributed artifact bytes differ from gather-and-write"
     );
     std::fs::remove_file(&direct_path).ok();
     std::fs::remove_file(&facade_path).ok();
@@ -345,7 +357,12 @@ fn distributed_refined_matches_direct_dist_hooi() {
     let x2 = x.clone();
     let direct = spmd_with_grid(ProcGrid::new(&grid_shape), move |comm| {
         let dx = DistTensor::from_global(&comm, &x2);
-        let r = dist_hooi(&comm, &dx, &HooiOptions::with_ranks(r2.clone(), 2));
+        let r = dist_hooi_ctx(
+            &comm,
+            &dx,
+            &HooiOptions::with_ranks(r2.clone(), 2),
+            &hybrid_ctx(&comm),
+        );
         r.tucker.gather_to_root(&comm)
     })
     .into_iter()
@@ -415,7 +432,10 @@ fn bad_rank_selections_are_typed_errors() {
         }))
     ));
     assert!(matches!(
-        tucker_core::try_st_hosvd(&x, &SthosvdOptions::with_ranks(vec![6, 9, 4])),
+        tucker_core::validate::validate_sthosvd_inputs(
+            x.dims(),
+            &SthosvdOptions::with_ranks(vec![6, 9, 4])
+        ),
         Err(tucker_core::CoreError::Rank(RankError::ExceedsDim { .. }))
     ));
     // Wrong arity and zero rank.
@@ -497,7 +517,12 @@ fn bad_orders_grids_and_refines_are_typed_errors() {
 #[test]
 fn writer_contract_violations_are_typed_errors() {
     let x = DenseTensor::from_fn(&[6, 6, 6], |idx| (idx[0] + idx[1] + idx[2]) as f64);
-    let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3)).tucker;
+    let t = st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_tolerance(1e-3),
+        ExecContext::global(),
+    )
+    .tucker;
     let header = TkrHeader {
         dims: t.original_dims(),
         ranks: t.ranks(),
@@ -702,7 +727,11 @@ fn declared_eps_is_stamped_into_fixed_rank_artifacts() {
     // Fixed ranks carry no intrinsic tolerance; the caller declares the
     // bound it knows, and readers' error budgets reflect it.
     let ranks = vec![3usize, 3, 3];
-    let direct = st_hosvd(&x, &SthosvdOptions::with_ranks(ranks.clone()));
+    let direct = st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_ranks(ranks.clone()),
+        ExecContext::global(),
+    );
     let declared = direct.error_bound();
     Compressor::new(&x)
         .ranks(ranks.clone())

@@ -153,7 +153,7 @@ fn large_kernels_are_bit_identical_across_thread_counts() {
 /// the ranks are threads or spawned processes.
 #[test]
 fn env_transport_repeated_dist_runs_are_bit_identical() {
-    use tucker_core::dist::{dist_st_hosvd, DistTensor};
+    use tucker_core::dist::{dist_st_hosvd_ctx, hybrid_ctx, DistTensor};
     use tucker_distmem::{Communicator, ProcGrid};
     use tucker_net::{env_ranks, spmd_transport, test_exec_args, transport_from_env, SpmdHandle};
 
@@ -185,7 +185,7 @@ fn env_transport_repeated_dist_runs_are_bit_identical() {
             &exec,
             move |comm: Communicator| {
                 let dx = DistTensor::from_global(&comm, &x);
-                let r = dist_st_hosvd(&comm, &dx, &opts);
+                let r = dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm));
                 match r.tucker.gather_to_root(&comm) {
                     Some(t) => {
                         let mut out: Vec<f64> = t.core.as_slice().to_vec();

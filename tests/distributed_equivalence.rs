@@ -4,8 +4,10 @@
 //! match the paper's α-β-γ model.
 
 use parallel_tucker::prelude::*;
-use tucker_core::dist::{dist_hooi, dist_reconstruct, parallel_gram, parallel_ttm};
-use tucker_core::hooi::{hooi, HooiOptions};
+use tucker_core::dist::{
+    dist_hooi_ctx, dist_reconstruct_ctx, hybrid_ctx, parallel_gram, parallel_ttm,
+};
+use tucker_core::hooi::{hooi_ctx, HooiOptions};
 use tucker_distmem::runtime::spmd_with_grid_handle;
 use tucker_linalg::Matrix;
 use tucker_tensor::{gram, ttm};
@@ -25,7 +27,7 @@ fn distributed_sthosvd_matches_sequential_on_many_grids() {
     let dims = [12usize, 10, 8];
     let x = structured_tensor(&dims);
     let opts = SthosvdOptions::with_ranks(vec![4, 3, 3]);
-    let seq = st_hosvd(&x, &opts);
+    let seq = st_hosvd_ctx(&x, &opts, ExecContext::global());
     let seq_rec = seq.tucker.reconstruct();
 
     for grid_shape in [
@@ -39,7 +41,7 @@ fn distributed_sthosvd_matches_sequential_on_many_grids() {
         let opts2 = opts.clone();
         let results = spmd_with_grid(ProcGrid::new(&grid_shape), move |comm| {
             let dx = DistTensor::from_global(&comm, &x2);
-            let r = dist_st_hosvd(&comm, &dx, &opts2);
+            let r = dist_st_hosvd_ctx(&comm, &dx, &opts2, &hybrid_ctx(&comm));
             r.tucker.gather_to_root(&comm)
         });
         let dist_rec = results[0].as_ref().unwrap().reconstruct();
@@ -56,12 +58,17 @@ fn distributed_hooi_matches_sequential() {
     let dims = [10usize, 9, 8];
     let x = structured_tensor(&dims);
     let opts = HooiOptions::with_ranks(vec![3, 3, 2], 2);
-    let seq_err = normalized_rms_error(&x, &hooi(&x, &opts).tucker.reconstruct());
+    let seq_err = normalized_rms_error(
+        &x,
+        &hooi_ctx(&x, &opts, ExecContext::global())
+            .tucker
+            .reconstruct(),
+    );
 
     let x2 = x.clone();
     let results = spmd_with_grid(ProcGrid::new(&[2, 1, 2]), move |comm| {
         let dx = DistTensor::from_global(&comm, &x2);
-        let r = dist_hooi(&comm, &dx, &opts);
+        let r = dist_hooi_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm));
         r.tucker.gather_to_root(&comm)
     });
     let dist_err = normalized_rms_error(&x, &results[0].as_ref().unwrap().reconstruct());
@@ -78,8 +85,13 @@ fn distributed_reconstruction_round_trip() {
     let x2 = x.clone();
     let results = spmd_with_grid(ProcGrid::new(&[2, 2, 1]), move |comm| {
         let dx = DistTensor::from_global(&comm, &x2);
-        let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_tolerance(1e-5));
-        let rec = dist_reconstruct(&comm, &r.tucker);
+        let r = dist_st_hosvd_ctx(
+            &comm,
+            &dx,
+            &SthosvdOptions::with_tolerance(1e-5),
+            &hybrid_ctx(&comm),
+        );
+        let rec = dist_reconstruct_ctx(&comm, &r.tucker, &hybrid_ctx(&comm));
         rec.gather_to_root(&comm)
     });
     let rec = results[0].as_ref().unwrap();
@@ -203,13 +215,13 @@ fn single_rank_distributed_run_is_exactly_sequential() {
     let dims = [9usize, 8, 7];
     let x = structured_tensor(&dims);
     let opts = SthosvdOptions::with_ranks(vec![3, 3, 3]);
-    let seq = st_hosvd(&x, &opts);
+    let seq = st_hosvd_ctx(&x, &opts, ExecContext::global());
 
     let x2 = x.clone();
     let opts2 = opts.clone();
     let results = spmd_with_grid(ProcGrid::new(&[1, 1, 1]), move |comm| {
         let dx = DistTensor::from_global(&comm, &x2);
-        let r = dist_st_hosvd(&comm, &dx, &opts2);
+        let r = dist_st_hosvd_ctx(&comm, &dx, &opts2, &hybrid_ctx(&comm));
         (r.ranks.clone(), r.tucker.gather_to_root(&comm))
     });
     let (ranks, gathered) = &results[0];
@@ -242,7 +254,12 @@ fn env_transport_distributed_hooi_matches_sequential() {
     let dims = [10usize, 9, 8];
     let x = structured_tensor(&dims);
     let opts = HooiOptions::with_ranks(vec![3, 3, 2], 2);
-    let seq_err = normalized_rms_error(&x, &hooi(&x, &opts).tucker.reconstruct());
+    let seq_err = normalized_rms_error(
+        &x,
+        &hooi_ctx(&x, &opts, ExecContext::global())
+            .tucker
+            .reconstruct(),
+    );
 
     let x2 = x.clone();
     let exec = test_exec_args("env_transport_distributed_hooi_matches_sequential");
@@ -253,7 +270,7 @@ fn env_transport_distributed_hooi_matches_sequential() {
         &exec,
         move |comm: Communicator| -> Vec<f64> {
             let dx = DistTensor::from_global(&comm, &x2);
-            let r = dist_hooi(&comm, &dx, &opts);
+            let r = dist_hooi_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm));
             match r.tucker.gather_to_root(&comm) {
                 Some(t) => t.reconstruct().as_slice().to_vec(),
                 None => vec![],

@@ -3,7 +3,7 @@
 
 use parallel_tucker::prelude::*;
 use tucker_core::error::{error_bound, mode_wise_error_curves, ranks_for_tolerance};
-use tucker_core::hooi::{hooi, HooiOptions};
+use tucker_core::hooi::{hooi_ctx, HooiOptions};
 use tucker_core::thosvd::t_hosvd;
 use tucker_core::RankSelection;
 use tucker_scidata::normalize_per_slice;
@@ -27,7 +27,11 @@ fn small_dataset() -> DenseTensor {
 fn tolerance_guarantee_holds_across_epsilons() {
     let x = small_dataset();
     for eps in [1e-1, 1e-2, 1e-3, 1e-4] {
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let result = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         let rec = result.tucker.reconstruct();
         let err = normalized_rms_error(&x, &rec);
         assert!(
@@ -43,7 +47,11 @@ fn compression_improves_monotonically_with_epsilon() {
     let x = small_dataset();
     let mut previous_ratio = f64::INFINITY;
     for eps in [1e-1, 1e-2, 1e-3, 1e-4] {
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let result = st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         let ratio = result.tucker.compression_ratio(x.dims());
         assert!(
             ratio <= previous_ratio + 1e-12,
@@ -56,8 +64,16 @@ fn compression_improves_monotonically_with_epsilon() {
 #[test]
 fn hooi_never_degrades_sthosvd() {
     let x = small_dataset();
-    let st = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-2));
-    let ho = hooi(&x, &HooiOptions::with_ranks(st.ranks.clone(), 3));
+    let st = st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_tolerance(1e-2),
+        ExecContext::global(),
+    );
+    let ho = hooi_ctx(
+        &x,
+        &HooiOptions::with_ranks(st.ranks.clone(), 3),
+        ExecContext::global(),
+    );
     let st_err = normalized_rms_error(&x, &st.tucker.reconstruct());
     let ho_err = normalized_rms_error(&x, &ho.tucker.reconstruct());
     assert!(ho_err <= st_err + 1e-12);
@@ -79,8 +95,16 @@ fn thosvd_sthosvd_and_hooi_agree_on_well_separated_data() {
     .generate();
     let ranks = vec![4usize, 3, 3];
     let th = t_hosvd(&x, &RankSelection::Fixed(ranks.clone()));
-    let st = st_hosvd(&x, &SthosvdOptions::with_ranks(ranks.clone()));
-    let ho = hooi(&x, &HooiOptions::with_ranks(ranks, 3));
+    let st = st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_ranks(ranks.clone()),
+        ExecContext::global(),
+    );
+    let ho = hooi_ctx(
+        &x,
+        &HooiOptions::with_ranks(ranks, 3),
+        ExecContext::global(),
+    );
     let eth = normalized_rms_error(&x, &th.tucker.reconstruct());
     let est = normalized_rms_error(&x, &st.tucker.reconstruct());
     let eho = normalized_rms_error(&x, &ho.tucker.reconstruct());
@@ -99,7 +123,11 @@ fn mode_wise_curves_predict_achievable_ranks() {
     // bound itself respects eps.
     let bound = error_bound(&curves, &curve_ranks, x.norm());
     assert!(bound <= eps + 1e-12);
-    let st = st_hosvd(&x, &SthosvdOptions::with_ranks(curve_ranks));
+    let st = st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_ranks(curve_ranks),
+        ExecContext::global(),
+    );
     let err = normalized_rms_error(&x, &st.tucker.reconstruct());
     assert!(err <= bound + 1e-12);
 }
@@ -123,7 +151,11 @@ fn normalization_then_compression_round_trips_to_physical_units() {
     let mut normalized = physical.clone();
     let norm = normalize_per_slice(&mut normalized, 2);
 
-    let result = st_hosvd(&normalized, &SthosvdOptions::with_tolerance(1e-5));
+    let result = st_hosvd_ctx(
+        &normalized,
+        &SthosvdOptions::with_tolerance(1e-5),
+        ExecContext::global(),
+    );
     let mut rec = result.tucker.reconstruct();
     norm.invert(&mut rec);
 
@@ -146,7 +178,11 @@ fn relative_compressibility_ordering_matches_paper() {
         cfg.n_timesteps = cfg.n_timesteps.min(8);
         let mut data = cfg.generate().data;
         normalize_per_slice(&mut data, cfg.grid.len());
-        let result = st_hosvd(&data, &SthosvdOptions::with_tolerance(eps));
+        let result = st_hosvd_ctx(
+            &data,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        );
         tucker_core::compression_ratio(data.dims(), &result.ranks)
     };
     let sp = ratio_for(DatasetPreset::Sp);

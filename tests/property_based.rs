@@ -91,7 +91,7 @@ proptest! {
     #[test]
     fn sthosvd_respects_the_tolerance(x in arbitrary_tensor(), eps_exp in 1u32..4) {
         let eps = 10f64.powi(-(eps_exp as i32));
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let result = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ExecContext::global());
         let rec = result.tucker.reconstruct();
         let err = normalized_rms_error(&x, &rec);
         prop_assert!(err <= eps + 1e-10, "error {} above tolerance {}", err, eps);
@@ -105,14 +105,14 @@ proptest! {
     #[test]
     fn full_rank_decomposition_is_exact(x in arbitrary_tensor()) {
         let ranks = x.dims().to_vec();
-        let result = st_hosvd(&x, &SthosvdOptions::with_ranks(ranks));
+        let result = st_hosvd_ctx(&x, &SthosvdOptions::with_ranks(ranks), ExecContext::global());
         let rec = result.tucker.reconstruct();
         prop_assert!(normalized_rms_error(&x, &rec) < 1e-9);
     }
 
     #[test]
     fn partial_reconstruction_agrees_with_full(x in arbitrary_tensor()) {
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-2));
+        let result = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(1e-2), ExecContext::global());
         let full = result.tucker.reconstruct();
         // Take the first half of every mode.
         let spec = SubtensorSpec::from_ranges(

@@ -48,7 +48,11 @@ fn wavy(dims: &[usize], phase: f64) -> DenseTensor {
 /// artifact has a deep chunk directory and the shared cache actually cycles.
 fn chunked_artifact(tag: &str, dims: &[usize], codec: Codec, phase: f64) -> PathBuf {
     let x = wavy(dims, phase);
-    let r = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-4));
+    let r = st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_tolerance(1e-4),
+        ExecContext::global(),
+    );
     let t = &r.tucker;
     let path = temp_tkr(tag);
     let header = TkrHeader {
@@ -59,16 +63,16 @@ fn chunked_artifact(tag: &str, dims: &[usize], codec: Codec, phase: f64) -> Path
         quant_error_bound: 0.0,
         meta: TkrMetadata::default(),
     };
-    let mut w = TkrWriter::create(&path, header).expect("create artifact");
+    let mut w = TkrWriter::try_create(&path, header).expect("create artifact");
     for (n, u) in t.factors.iter().enumerate() {
-        w.write_factor(n, u).expect("write factor");
+        w.try_write_factor(n, u).expect("write factor");
     }
     let last = *t.core.dims().last().expect("non-scalar core");
     for s in 0..last {
-        w.write_core_chunk(t.core.last_mode_slab(s, 1))
+        w.try_write_core_chunk(t.core.last_mode_slab(s, 1))
             .expect("write chunk");
     }
-    w.finish().expect("finish artifact");
+    w.try_finish().expect("finish artifact");
     path
 }
 
@@ -217,6 +221,51 @@ fn eight_concurrent_clients_get_byte_identical_answers() {
     let final_stats = handle.shutdown();
     assert_eq!(final_stats.in_flight, 0);
     for p in &paths {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+/// `stats` reports every registered artifact — with zero counters until a
+/// query opens it — so its listing never depends on which artifacts some
+/// earlier request happened to touch.
+#[test]
+fn stats_lists_every_registered_artifact_before_any_query() {
+    let dims = [7usize, 6, 5];
+    let registry: Vec<(String, PathBuf)> = ["beta", "alpha", "gamma"]
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let path = chunked_artifact(name, &dims, Codec::F64, i as f64);
+            (name.to_string(), path)
+        })
+        .collect();
+    let handle = serve("127.0.0.1:0", &registry, ServeConfig::default()).expect("daemon binds");
+    let mut client = ServeClient::connect(handle.addr()).expect("client connects");
+
+    let stats = client.stats().expect("stats");
+    let names: Vec<&str> = stats.artifacts.iter().map(|a| a.name.as_str()).collect();
+    assert_eq!(names, ["alpha", "beta", "gamma"]);
+    for a in &stats.artifacts {
+        assert_eq!(
+            (a.decoded_chunks, a.cache_hits, a.resident_chunks),
+            (0, 0, 0),
+            "{} has counters before any query",
+            a.name
+        );
+    }
+
+    client.element("beta", &[1, 2, 3]).expect("element");
+    let stats = client.stats().expect("stats");
+    let names: Vec<&str> = stats.artifacts.iter().map(|a| a.name.as_str()).collect();
+    assert_eq!(names, ["alpha", "beta", "gamma"]);
+    let decoded: Vec<u64> = stats.artifacts.iter().map(|a| a.decoded_chunks).collect();
+    assert_eq!(decoded[0], 0);
+    assert!(decoded[1] > 0, "the queried artifact decoded nothing");
+    assert_eq!(decoded[2], 0);
+
+    drop(client);
+    handle.shutdown();
+    for (_, p) in &registry {
         std::fs::remove_file(p).ok();
     }
 }

@@ -18,7 +18,7 @@ use tucker_core::sthosvd::SthosvdOptions;
 use tucker_exec::ExecContext;
 use tucker_linalg::blocking::{force_blocking, Blocking};
 use tucker_linalg::simd::{detected_tier, force_tier, supported_tiers, SimdTier};
-use tucker_store::{write_tucker_ctx, Codec, StoreOptions};
+use tucker_store::{try_write_tucker_ctx, Codec, StoreOptions};
 use tucker_tensor::{gram_ctx, DenseTensor};
 
 static TIER_LOCK: Mutex<()> = Mutex::new(());
@@ -102,7 +102,7 @@ fn artifacts_are_byte_identical_across_simd_tiers() {
     let ctx1 = ExecContext::new(1);
     let baseline_path = tmp("scalar_t1");
     let baseline = st_hosvd_ctx(&x, &sth, &ctx1);
-    write_tucker_ctx(
+    try_write_tucker_ctx(
         &baseline_path,
         &baseline.tucker,
         &StoreOptions::new(Codec::F64, eps),
@@ -118,7 +118,8 @@ fn artifacts_are_byte_identical_across_simd_tiers() {
             let ctx = ExecContext::new(threads);
             let path = tmp(&format!("{}_t{threads}", tier.name()));
             let r = st_hosvd_ctx(&x, &sth, &ctx);
-            write_tucker_ctx(&path, &r.tucker, &StoreOptions::new(Codec::F64, eps), &ctx).unwrap();
+            try_write_tucker_ctx(&path, &r.tucker, &StoreOptions::new(Codec::F64, eps), &ctx)
+                .unwrap();
             let bytes = std::fs::read(&path).unwrap();
             std::fs::remove_file(&path).ok();
             assert_eq!(
@@ -147,7 +148,7 @@ fn artifacts_are_byte_identical_across_blocking_overrides() {
         let ctx = ExecContext::new(threads);
         let path = tmp(tag);
         let r = st_hosvd_ctx(&x, &sth, &ctx);
-        write_tucker_ctx(&path, &r.tucker, &StoreOptions::new(Codec::F64, eps), &ctx).unwrap();
+        try_write_tucker_ctx(&path, &r.tucker, &StoreOptions::new(Codec::F64, eps), &ctx).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         bytes

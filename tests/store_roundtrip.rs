@@ -13,12 +13,12 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tucker_core::dist::{dist_st_hosvd, DistTensor};
+use tucker_core::dist::{dist_st_hosvd_ctx, hybrid_ctx, DistTensor};
 use tucker_core::prelude::*;
 use tucker_distmem::runtime::spmd_with_grid;
 use tucker_distmem::ProcGrid;
 use tucker_scidata::DatasetPreset;
-use tucker_store::{gather_and_write, write_tucker, Codec, StoreOptions, TkrArtifact, TkrMetadata};
+use tucker_store::{try_write_tucker_ctx, Codec, StoreOptions, TkrArtifact, TkrMetadata};
 use tucker_tensor::{extract_subtensor, relative_error, DenseTensor, SubtensorSpec};
 
 static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -49,14 +49,14 @@ proptest! {
     #[test]
     fn write_read_reconstruct_subtensor_matches_direct(x in arbitrary_tensor()) {
         let eps = 1e-2;
-        let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps)).tucker;
+        let t = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ExecContext::global()).tucker;
         let direct = t.reconstruct();
         let spec = SubtensorSpec::from_ranges(
             &x.dims().iter().map(|&d| (d / 3, (d / 2).max(1))).collect::<Vec<_>>(),
         );
         for codec in Codec::all() {
             let path = temp_tkr(codec.name());
-            let report = write_tucker(&path, &t, &StoreOptions::new(codec, eps)).unwrap();
+            let report = try_write_tucker_ctx(&path, &t, &StoreOptions::new(codec, eps), ExecContext::global()).unwrap();
             let artifact = TkrArtifact::open(&path).unwrap();
             std::fs::remove_file(&path).ok();
 
@@ -88,9 +88,9 @@ proptest! {
     /// is indistinguishable from the in-memory `TuckerTensor`.
     #[test]
     fn f64_artifact_is_exactly_the_tucker(x in arbitrary_tensor()) {
-        let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3)).tucker;
+        let t = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(1e-3), ExecContext::global()).tucker;
         let path = temp_tkr("exact");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-3)).unwrap();
+        try_write_tucker_ctx(&path, &t, &StoreOptions::new(Codec::F64, 1e-3), ExecContext::global()).unwrap();
         let artifact = TkrArtifact::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(artifact.tucker(), &t);
@@ -105,7 +105,11 @@ proptest! {
 fn sp_surrogate_round_trips_within_eps_for_all_codecs() {
     let eps = 1e-3;
     let ds = DatasetPreset::Sp.generate(1, 2024);
-    let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+    let result = st_hosvd_ctx(
+        &ds.data,
+        &SthosvdOptions::with_tolerance(eps),
+        ExecContext::global(),
+    );
 
     // A ~1% window of the 24×24×24×8×16 field.
     let window_ranges: Vec<(usize, usize)> = vec![(6, 6), (9, 6), (0, 6), (2, 4), (5, 5)];
@@ -113,7 +117,7 @@ fn sp_surrogate_round_trips_within_eps_for_all_codecs() {
     for codec in [Codec::F64, Codec::F32, Codec::Q16] {
         let path = temp_tkr(&format!("sp_{}", codec.name()));
         let opts = StoreOptions::new(codec, eps).with_meta(TkrMetadata::for_dataset(&ds));
-        write_tucker(&path, &result.tucker, &opts).unwrap();
+        try_write_tucker_ctx(&path, &result.tucker, &opts, ExecContext::global()).unwrap();
         let artifact = TkrArtifact::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
@@ -142,7 +146,11 @@ fn sp_dist_tucker_round_trips_on_nontrivial_grid() {
     let eps = 1e-3;
     let ds = DatasetPreset::Sp.generate(1, 2024);
     let data = ds.data.clone();
-    let seq = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+    let seq = st_hosvd_ctx(
+        &ds.data,
+        &SthosvdOptions::with_tolerance(eps),
+        ExecContext::global(),
+    );
     let seq_rec = seq.tucker.reconstruct();
 
     for codec in [Codec::F64, Codec::Q16] {
@@ -151,9 +159,12 @@ fn sp_dist_tucker_round_trips_on_nontrivial_grid() {
         let data2 = data.clone();
         let wrote = spmd_with_grid(ProcGrid::new(&[2, 1, 2, 1, 1]), move |comm| {
             let dx = DistTensor::from_global(&comm, &data2);
-            let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_tolerance(eps));
-            gather_and_write(&comm, &r.tucker, &path2, &StoreOptions::new(codec, eps))
-                .unwrap()
+            let ctx = hybrid_ctx(&comm);
+            let r = dist_st_hosvd_ctx(&comm, &dx, &SthosvdOptions::with_tolerance(eps), &ctx);
+            let opts = StoreOptions::new(codec, eps);
+            r.tucker
+                .gather_to_root(&comm)
+                .map(|t| try_write_tucker_ctx(&path2, &t, &opts, &ctx).unwrap())
                 .is_some()
         });
         assert_eq!(wrote.iter().filter(|&&w| w).count(), 1);
@@ -183,14 +194,18 @@ fn parallel_encode_and_decode_are_byte_and_bit_identical() {
     // execution pool. The artifact bytes and the decoded decomposition must
     // not depend on the thread count in any way.
     use tucker_exec::ExecContext;
-    use tucker_store::write_tucker_ctx;
+    use tucker_store::try_write_tucker_ctx;
 
     let ds = DatasetPreset::Sp.generate(1, 77);
-    let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(1e-3));
+    let result = st_hosvd_ctx(
+        &ds.data,
+        &SthosvdOptions::with_tolerance(1e-3),
+        ExecContext::global(),
+    );
     for codec in Codec::all() {
         let seq = ExecContext::new(1);
         let path_seq = temp_tkr(&format!("par_{}_t1", codec.name()));
-        write_tucker_ctx(
+        try_write_tucker_ctx(
             &path_seq,
             &result.tucker,
             &StoreOptions::new(codec, 1e-3),
@@ -204,7 +219,8 @@ fn parallel_encode_and_decode_are_byte_and_bit_identical() {
         for threads in [4usize, 16] {
             let ctx = ExecContext::new(threads);
             let path = temp_tkr(&format!("par_{}_t{threads}", codec.name()));
-            write_tucker_ctx(&path, &result.tucker, &StoreOptions::new(codec, 1e-3), &ctx).unwrap();
+            try_write_tucker_ctx(&path, &result.tucker, &StoreOptions::new(codec, 1e-3), &ctx)
+                .unwrap();
             let bytes = std::fs::read(&path).unwrap();
             assert_eq!(
                 bytes,
@@ -240,7 +256,11 @@ fn parallel_encode_and_decode_are_byte_and_bit_identical() {
 fn lazy_reader_is_byte_identical_to_eager_on_sp_surrogate() {
     let eps = 1e-3;
     let ds = DatasetPreset::Sp.generate(1, 2024);
-    let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+    let result = st_hosvd_ctx(
+        &ds.data,
+        &SthosvdOptions::with_tolerance(eps),
+        ExecContext::global(),
+    );
     let window: Vec<(usize, usize)> = vec![(6, 6), (9, 6), (0, 6), (2, 4), (5, 5)];
 
     for codec in Codec::all() {
@@ -256,15 +276,15 @@ fn lazy_reader_is_byte_identical_to_eager_on_sp_surrogate() {
             quant_error_bound: 0.0,
             meta: TkrMetadata::for_dataset(&ds),
         };
-        let mut w = tucker_store::TkrWriter::create(&path, header).unwrap();
+        let mut w = tucker_store::TkrWriter::try_create(&path, header).unwrap();
         for (n, u) in t.factors.iter().enumerate() {
-            w.write_factor(n, u).unwrap();
+            w.try_write_factor(n, u).unwrap();
         }
         let last = *t.core.dims().last().unwrap();
         for s in 0..last {
-            w.write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
+            w.try_write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
         }
-        w.finish().unwrap();
+        w.try_finish().unwrap();
 
         let eager = TkrArtifact::open(&path).unwrap();
         let lazy = tucker_store::TkrReader::open_with(&path, 3, tucker_exec::ExecContext::global())
@@ -304,7 +324,7 @@ fn multi_wave_encode_decode_is_byte_identical_and_lossless() {
     // boundaries must not leak into the bytes or the decoded values.
     use tucker_exec::ExecContext;
     use tucker_linalg::Matrix;
-    use tucker_store::write_tucker_ctx;
+    use tucker_store::try_write_tucker_ctx;
 
     let core_dims = [64usize, 64, 130];
     let core = DenseTensor::from_fn(&core_dims, |idx| {
@@ -323,7 +343,7 @@ fn multi_wave_encode_decode_is_byte_identical_and_lossless() {
         for threads in [1usize, 4] {
             let ctx = ExecContext::new(threads);
             let path = temp_tkr(&format!("wave_{}_t{threads}", codec.name()));
-            write_tucker_ctx(&path, &tucker, &StoreOptions::new(codec, 1e-3), &ctx).unwrap();
+            try_write_tucker_ctx(&path, &tucker, &StoreOptions::new(codec, 1e-3), &ctx).unwrap();
             per_thread_bytes.push(std::fs::read(&path).unwrap());
             let artifact = TkrArtifact::open_ctx(&path, &ctx).unwrap();
             std::fs::remove_file(&path).ok();

@@ -1,12 +1,13 @@
 //! The out-of-core pipeline's contracts (ISSUE 4 acceptance criteria):
 //!
-//! * `st_hosvd_streaming` output — factors, core, ranks, eigenvalues,
+//! * `st_hosvd_streaming_ctx` output — factors, core, ranks, eigenvalues,
 //!   discarded energy, error bound — is **bit-identical** to `st_hosvd_ctx`
 //!   on the same data for every slab width (1, a prime, the full last mode)
 //!   and every thread count including oversubscription (the CI runs this
 //!   suite under `TUCKER_THREADS=32` as well);
-//! * `compress_streaming` produces artifacts **byte-identical** to the
-//!   in-memory `write_tucker` pipeline;
+//! * the streaming `Compressor::from_slabs(..).write_to` pipeline produces
+//!   artifacts **byte-identical** to the in-memory `try_write_tucker_ctx`
+//!   pipeline;
 //! * every codec round-trips through the lazy `TkrReader` with byte-identical
 //!   query answers while decoding no more than the touched chunks and
 //!   keeping at most the cache capacity resident;
@@ -16,12 +17,13 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use tucker_api::Compressor;
 use tucker_core::prelude::*;
 use tucker_exec::ExecContext;
 use tucker_scidata::CombustionConfig;
 use tucker_store::{
-    compress_streaming, write_tucker_ctx, Codec, StoreOptions, TkrArtifact, TkrHeader, TkrMetadata,
-    TkrReader, TkrWriter,
+    try_write_tucker_ctx, Codec, StoreOptions, TkrArtifact, TkrHeader, TkrMetadata, TkrReader,
+    TkrWriter,
 };
 use tucker_tensor::DenseTensor;
 
@@ -123,7 +125,7 @@ proptest! {
     #[test]
     fn every_codec_round_trips_through_the_lazy_reader(x in arbitrary_tensor()) {
         let eps = 1e-2;
-        let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps)).tucker;
+        let t = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ExecContext::global()).tucker;
         let last = *t.core.dims().last().unwrap();
         let dims = x.dims();
         let window: Vec<(usize, usize)> =
@@ -139,14 +141,14 @@ proptest! {
                 quant_error_bound: 0.0,
                 meta: TkrMetadata::default(),
             };
-            let mut w = TkrWriter::create(&path, header).unwrap();
+            let mut w = TkrWriter::try_create(&path, header).unwrap();
             for (n, u) in t.factors.iter().enumerate() {
-                w.write_factor(n, u).unwrap();
+                w.try_write_factor(n, u).unwrap();
             }
             for s in 0..last {
-                w.write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
+                w.try_write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
             }
-            w.finish().unwrap();
+            w.try_finish().unwrap();
 
             let eager = TkrArtifact::open(&path).unwrap();
             let lazy = TkrReader::open_with(&path, 2, &ExecContext::new(4)).unwrap();
@@ -200,8 +202,8 @@ fn large_streaming_decomposition_is_bit_identical() {
     }
 }
 
-/// `compress_streaming` writes byte-for-byte the artifact of the in-memory
-/// pipeline, for every codec and thread count.
+/// The streaming compress-and-write pipeline writes byte-for-byte the
+/// artifact of the in-memory pipeline, for every codec and thread count.
 #[test]
 fn streaming_compression_artifact_is_byte_identical_to_in_memory() {
     let cfg = CombustionConfig {
@@ -226,18 +228,17 @@ fn streaming_compression_artifact_is_byte_identical_to_in_memory() {
 
             let path_mem = temp_tkr(&format!("mem_{}_{threads}", codec.name()));
             let result = st_hosvd_ctx(&x, &sth, &ctx);
-            write_tucker_ctx(&path_mem, &result.tucker, &opts, &ctx).unwrap();
+            try_write_tucker_ctx(&path_mem, &result.tucker, &opts, &ctx).unwrap();
 
             let path_str = temp_tkr(&format!("str_{}_{threads}", codec.name()));
-            let (stream_result, _) = compress_streaming(
-                &path_str,
-                &src,
-                &sth,
-                &StreamingOptions::with_slab_width(3),
-                &opts,
-                &ctx,
-            )
-            .unwrap();
+            let stream_result = Compressor::from_slabs(&src)
+                .tolerance(eps)
+                .slab_width(3)
+                .codec(codec)
+                .threads(threads)
+                .write_to(&path_str)
+                .unwrap()
+                .compressed;
 
             let bytes_mem = std::fs::read(&path_mem).unwrap();
             let bytes_str = std::fs::read(&path_str).unwrap();
@@ -249,7 +250,7 @@ fn streaming_compression_artifact_is_byte_identical_to_in_memory() {
                 "{} at {threads} threads: artifacts differ",
                 codec.name()
             );
-            assert_eq!(stream_result.ranks, result.ranks);
+            assert_eq!(stream_result.ranks(), result.ranks);
         }
     }
 }
@@ -261,7 +262,12 @@ fn lazy_reader_decode_accounting() {
     let x = DenseTensor::from_fn(&[9, 8, 13], |idx| {
         ((idx[0] + 2 * idx[1]) as f64 * 0.31).sin() + 0.1 * idx[2] as f64
     });
-    let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3)).tucker;
+    let t = st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_tolerance(1e-3),
+        ExecContext::global(),
+    )
+    .tucker;
     let last = *t.core.dims().last().unwrap();
     let path = temp_tkr("accounting");
     let header = TkrHeader {
@@ -272,14 +278,14 @@ fn lazy_reader_decode_accounting() {
         quant_error_bound: 0.0,
         meta: TkrMetadata::default(),
     };
-    let mut w = TkrWriter::create(&path, header).unwrap();
+    let mut w = TkrWriter::try_create(&path, header).unwrap();
     for (n, u) in t.factors.iter().enumerate() {
-        w.write_factor(n, u).unwrap();
+        w.try_write_factor(n, u).unwrap();
     }
     for s in 0..last {
-        w.write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
+        w.try_write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
     }
-    w.finish().unwrap();
+    w.try_finish().unwrap();
 
     let lazy = TkrReader::open_with(&path, 64, &ExecContext::new(2)).unwrap();
     std::fs::remove_file(&path).ok();

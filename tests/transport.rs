@@ -141,7 +141,7 @@ fn tcp_dist_sthosvd_matches_inproc_bitwise() {
         let opts = opts.clone();
         move |comm: Communicator| -> Vec<f64> {
             let dx = DistTensor::from_global(&comm, &x);
-            let r = dist_st_hosvd(&comm, &dx, &opts);
+            let r = dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm));
             match r.tucker.gather_to_root(&comm) {
                 Some(t) => tucker_bits(&t),
                 None => vec![],
@@ -187,13 +187,18 @@ fn tcp_artifact_bytes_identical_on_2x2_grid() {
         let opts = opts.clone();
         move |comm: Communicator| -> Vec<u8> {
             let dx = DistTensor::from_global(&comm, &x);
-            let r = dist_st_hosvd(&comm, &dx, &opts);
+            let r = dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm));
             match r.tucker.gather_to_root(&comm) {
                 Some(t) => {
                     let path = std::env::temp_dir()
                         .join(format!("transport_{}_{tag}.tkr", std::process::id()));
-                    write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-6))
-                        .expect("write .tkr");
+                    try_write_tucker_ctx(
+                        &path,
+                        &t,
+                        &StoreOptions::new(Codec::F64, 1e-6),
+                        ExecContext::global(),
+                    )
+                    .expect("write .tkr");
                     let bytes = std::fs::read(&path).expect("read .tkr back");
                     let _ = std::fs::remove_file(&path);
                     bytes
@@ -318,7 +323,9 @@ fn env_selected_transport_runs_distributed_equivalence() {
     let dims = [12usize, 10, 8];
     let x = structured_tensor(&dims);
     let opts = SthosvdOptions::with_ranks(vec![4, 3, 3]);
-    let seq_rec = st_hosvd(&x, &opts).tucker.reconstruct();
+    let seq_rec = st_hosvd_ctx(&x, &opts, ExecContext::global())
+        .tucker
+        .reconstruct();
     let exec = test_exec_args("env_selected_transport_runs_distributed_equivalence");
     let h: SpmdHandle<Vec<f64>> =
         spmd_transport(kind, "env-equivalence", ProcGrid::new(&grid), &exec, {
@@ -326,7 +333,7 @@ fn env_selected_transport_runs_distributed_equivalence() {
             let opts = opts.clone();
             move |comm: Communicator| -> Vec<f64> {
                 let dx = DistTensor::from_global(&comm, &x);
-                let r = dist_st_hosvd(&comm, &dx, &opts);
+                let r = dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm));
                 match r.tucker.gather_to_root(&comm) {
                     Some(t) => t.reconstruct().as_slice().to_vec(),
                     None => vec![],
